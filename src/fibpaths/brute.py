@@ -16,7 +16,7 @@ continued fractions or automata.
 
 from __future__ import annotations
 
-from .kfib import kfib
+from .kfib import check_k, kfib
 
 __all__ = [
     "BudgetExceeded",
@@ -49,8 +49,7 @@ class BudgetExceeded(ValueError):
 def _check(family: str, k: int, n: int, budget: int):
     if family not in CONSTRAINTS:
         raise ValueError("unknown family %r (one of %s)" % (family, ", ".join(FAMILIES)))
-    if k < 1:
-        raise ValueError("k must be a positive integer, got %r" % (k,))
+    check_k(k)
     if n < 0:
         raise ValueError("path length must be nonnegative, got %r" % (n,))
     if n > budget:

@@ -18,7 +18,7 @@ import sys
 
 from . import families, tables
 from .automata import SingularSystem
-from .brute import BudgetExceeded
+from .brute import COUNT_BUDGET, BudgetExceeded
 from .families import FAMILIES, METHODS, MethodUnavailable, NonIntegralResult
 from .series import SeriesError
 
@@ -135,6 +135,12 @@ def cmd_tables(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    top = min(args.brute_max, args.n_max)
+    if top > COUNT_BUDGET:
+        raise BudgetExceeded(
+            "--brute-max: length %d exceeds the enumeration budget %d"
+            % (top, COUNT_BUDGET)
+        )
     fams = (args.family,) if args.family else FAMILIES
     ks = (args.k,) if args.k else tuple(range(1, args.k_max + 1))
     failures = []
@@ -153,7 +159,7 @@ def cmd_verify(args) -> int:
             else:
                 print(
                     "%-13s k=%d  OK (n<=%d, brute<=%d)"
-                    % (family, k, args.n_max, min(args.brute_max, args.n_max))
+                    % (family, k, args.n_max, top)
                 )
     print("verify: %s" % ("PASS" if not failures else "FAIL"))
     return EXIT_OK if not failures else EXIT_MISMATCH

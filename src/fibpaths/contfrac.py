@@ -13,6 +13,16 @@ truncated at depth s keeps the boundary loop and back-edge; since every
 truncated piece below is an excursion relative to its own base level, all
 the evaluators here are exact through z^(2s) when the step weights have
 valuation 1.
+
+Precision rule: a walk reaches level i only behind f_0 g_0 ... f_{i-1}
+g_{i-1}, whose valuation is at least 2i, so the continued fraction
+evaluates E_i only through z^max(order - 2i, 0); a meander ends on level j
+behind a prefix of valuation v >= j, so its tail E_j is evaluated only
+through z^(order - v).  A shorter series is padded with zeros before it is
+multiplied by such a factor; the padded coefficients land past the kept
+order.  Every evaluator still returns the Series a full-order evaluation
+gives, with the same order: `order`, capped by the orders of the weights it
+reads.
 """
 
 from __future__ import annotations
@@ -88,18 +98,38 @@ def _mirror(levels, keep_root_loop=True):
     return out
 
 
+def _reach(levels, depth: int, order: int) -> int:
+    """Order of the excursion GF of the chain truncated at `depth`: `order`,
+    capped by the order of every weight the continued fraction reads."""
+    return min(
+        [order, levels[depth].h.order]
+        + [w.order for lvl in levels[:depth] for w in (lvl.f, lvl.g, lvl.h)]
+    )
+
+
+def _pad(s: Series, order: int) -> Series:
+    """`s` extended by zero coefficients through z^order."""
+    if s.order >= order:
+        return s
+    return Series(s.coefficients() + (0,) * (order - s.order))
+
+
 def excursion_cf(levels, depth: int, order: int) -> Series:
     """Excursion GF of the chain truncated at `depth`, by the continued
     fraction E_i = 1/(1 - h_i - f_i g_i E_{i+1}) with tail E_s = 1/(1-h_s).
 
     Exact through z^(2*depth) when the step weights have valuation 1.
+    Level i is evaluated through z^max(order - 2i, 0) only.
     """
     _check_levels(levels, depth)
-    unit = one(order)
-    e = (unit - levels[depth].h).inverse()
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    n = _reach(levels, depth, order)
+    e = (one(max(n - 2 * depth, 0)) - levels[depth].h).inverse()
     for i in range(depth - 1, -1, -1):
         lvl = levels[i]
-        e = (unit - lvl.h - lvl.f * lvl.g * e).inverse()
+        o = max(n - 2 * i, 0)
+        e = (one(o) - lvl.h - lvl.f.truncate(o) * lvl.g * _pad(e, o)).inverse()
     return e
 
 
@@ -124,28 +154,27 @@ def meander_cf(levels, depth: int, order: int) -> Series:
 
     The prefactor gains valuation with every up step, so the sum is finite.
     Each E_j is truncated relative to its own base level j, so the sum is
-    exact through z^(2*depth) for valuation-1 step weights.
+    exact through z^(2*depth) for valuation-1 step weights.  E_j is
+    evaluated only through z^(order - v), v the valuation of its prefix.
     """
     _check_levels(levels, depth)
     cache: dict = {}
-
-    def tail(j):
-        key = tuple(id(lvl) for lvl in levels[j : j + depth + 1])
-        got = cache.get(key)
-        if got is None:
-            got = cache[key] = excursion_cf(levels[j:], depth, order)
-        return got
-
     total = Series([0] * (order + 1))
     prefix = one(order)
     j = 0
-    while prefix.valuation() <= order:
+    while (v := prefix.valuation()) <= order:
         if j + depth >= len(levels):
             raise ValueError(
                 "need at least %d levels for order %d at depth %d"
                 % (order + depth + 2, order, depth)
             )
-        e = tail(j)
+        window = levels[j : j + depth + 1]
+        key = tuple(id(lvl) for lvl in window)
+        e = cache.get(key)
+        if e is None:
+            # a later window of the same levels has a larger v: this reaches far enough
+            e = cache[key] = excursion_cf(window, depth, order - v)
+        e = _pad(e, _reach(window, depth, order))
         total = total + prefix * e
         prefix = prefix * levels[j].f * e
         j += 1

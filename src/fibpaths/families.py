@@ -23,11 +23,10 @@ them against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import automata, brute, contfrac
 from .brute import CONSTRAINTS, FAMILIES
-from .kfib import binom, catalan, convolved_binomial, kfib, multinom
+from .kfib import binom, catalan, check_k, convolved_binomial, kfib
 from .series import Series, default_order, poly
 
 __all__ = [
@@ -62,11 +61,6 @@ def _check_family(family):
         raise ValueError("unknown family %r (one of %s)" % (family, ", ".join(FAMILIES)))
 
 
-def _check_k(k):
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("k must be a positive integer, got %r" % (k,))
-
-
 def horizontal_weight(k: int, order: int) -> Series:
     """Loop weight z/(1 - kz - z^2): a run of length l in k of the F_{k,l}
     colors."""
@@ -99,7 +93,7 @@ def gf(family: str, k: int, order: int | None = None, method: str = "closed",
     (default: series.default_order()).  `depth` overrides the truncation
     depth of the cf and automaton methods."""
     _check_family(family)
-    _check_k(k)
+    check_k(k)
     n = default_order() if order is None else order
     if n < 0:
         raise ValueError("order must be nonnegative")
@@ -168,7 +162,7 @@ def _automaton(family: str, k: int, order: int, depth: int | None) -> Series:
 def coeff_fib(k: int, t: int) -> int:
     """[z^t] of the fib family: sum over n returning pairs and m runs of
     C(m+2n, m) Catalan(n) F^(m)_{k, t-2n-m+1}."""
-    _check_k(k)
+    check_k(k)
     total = 0
     for n in range(t // 2 + 1):
         cn = catalan(n)
@@ -180,37 +174,44 @@ def coeff_fib(k: int, t: int) -> int:
 
 
 def coeff_grand(k: int, t: int) -> int:
-    """[z^t] of the grand family; t = 0 is 1 by convention (empty path)."""
-    _check_k(k)
+    """[z^t] of the grand family; t = 0 is 1 by convention (empty path).
+    Each (n, m) term carries the integer 2^n n/(n+2m) C(n+2m, m)."""
+    check_k(k)
     if t == 0:
         return 1
-    total = Fraction(kfib(k + 1, t))
+    total = kfib(k + 1, t)
     for n in range(1, t // 2 + 1):
         for m in range((t - 2 * n) // 2 + 1):
-            base = Fraction(2**n * n, n + 2 * m) * binom(n + 2 * m, m)
+            base, r = divmod(2**n * n * binom(n + 2 * m, m), n + 2 * m)
+            if r:
+                raise NonIntegralResult(
+                    "grand factor k=%d t=%d n=%d m=%d is not an integer" % (k, t, n, m)
+                )
             for l in range(t - 2 * n - 2 * m + 1):
                 c = convolved_binomial(k, t - 2 * n - 2 * m - l, l)
                 if c:
                     total += base * binom(l + 2 * n + 2 * m, l) * c
-    if total.denominator != 1:
-        raise NonIntegralResult("grand coefficient k=%d t=%d is %s" % (k, t, total))
-    return int(total)
+    return total
 
 
 def coeff_prefix(k: int, t: int) -> int:
-    """[z^t] of the prefix family, a ballot-style triple sum."""
-    _check_k(k)
-    total = Fraction(0)
+    """[z^t] of the prefix family, a ballot-style triple sum.  Each (n, m)
+    term carries the integer (n+1)/(n+m+1) C(n+2m, m); with C(n+2m+l, l)
+    that is (n+1)/(n+m+1) times the multinomial (n+2m+l; m, l, m+n)."""
+    check_k(k)
+    total = 0
     for n in range(t + 1):
         for m in range((t - n) // 2 + 1):
-            pref = Fraction(n + 1, n + m + 1)
+            pref, r = divmod((n + 1) * binom(n + 2 * m, m), n + m + 1)
+            if r:
+                raise NonIntegralResult(
+                    "prefix factor k=%d t=%d n=%d m=%d is not an integer" % (k, t, n, m)
+                )
             for l in range(t - n - 2 * m + 1):
                 c = convolved_binomial(k, t - n - 2 * m - l, l)
                 if c:
-                    total += pref * multinom(n + 2 * m + l, (m, l, m + n)) * c
-    if total.denominator != 1:
-        raise NonIntegralResult("prefix coefficient k=%d t=%d is %s" % (k, t, total))
-    return int(total)
+                    total += pref * binom(n + 2 * m + l, l) * c
+    return total
 
 
 def _formula_coeff(family: str, k: int, t: int) -> int:
@@ -280,7 +281,7 @@ def verify_methods(family: str, k: int, n_max: int, brute_max: int = 10,
     value_b); empty means full agreement.
     """
     _check_family(family)
-    _check_k(k)
+    check_k(k)
     reference = sequence(family, k, n_max, "closed").counts
     mismatches = []
     others = ["cf", "automaton"]

@@ -18,6 +18,7 @@ __all__ = [
     "IndexMismatch",
     "binom",
     "catalan",
+    "check_k",
     "convolved_binomial",
     "convolved_gf",
     "convolved_sum",
@@ -30,14 +31,15 @@ class IndexMismatch(ValueError):
     """Multinomial parts that do not sum to the top index."""
 
 
-def _check_k(k: int):
-    if k < 1:
+def check_k(k) -> None:
+    """Reject a color count k that is not a positive int; bool is no int here."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer, got %r" % (k,))
 
 
 def kfib(k: int, n: int) -> int:
     """The k-Fibonacci number F_{k,n}."""
-    _check_k(k)
+    check_k(k)
     if n < 0:
         raise ValueError("n must be nonnegative, got %r" % (n,))
     a, b = 0, 1
@@ -49,7 +51,7 @@ def kfib(k: int, n: int) -> int:
 def convolved_gf(k: int, r: int, order: int) -> Series:
     """(1 - k x - x^2)^(-r) as a series; its coefficient of x^j is the
     r-fold convolved number F^(r)_{k,j+1}.  r = 0 gives the series 1."""
-    _check_k(k)
+    check_k(k)
     if r < 0:
         raise ValueError("convolution order r must be nonnegative")
     if r == 0:
@@ -61,7 +63,7 @@ def convolved_gf(k: int, r: int, order: int) -> Series:
 def convolved_sum(k: int, m: int, r: int) -> int:
     """F^(r)_{k,m+1} as the sum over weak compositions m_1+...+m_r = m of
     prod_i F_{k,m_i+1}, evaluated by peeling off the first part."""
-    _check_k(k)
+    check_k(k)
     if m < 0:
         return 0
     if r == 0:
@@ -77,7 +79,7 @@ def convolved_sum(k: int, m: int, r: int) -> int:
 def convolved_binomial(k: int, j: int, r: int) -> int:
     """Binomial closed form for F^(r)_{k,j+1}:
     sum_{l=0}^{floor(j/2)} C(j+r-l-1, j-l) C(j-l, l) k^(j-2l)."""
-    _check_k(k)
+    check_k(k)
     if j < 0:
         return 0
     if r == 0:

@@ -45,9 +45,12 @@ def default_order() -> int:
     raw = os.environ.get("FIBPATH_ORDER")
     if raw is None:
         return DEFAULT_ORDER
-    n = int(raw)
+    try:
+        n = int(raw)
+    except ValueError:
+        n = -1  # refused below, like a negative order
     if n < 0:
-        raise ValueError("FIBPATH_ORDER must be a nonnegative integer")
+        raise ValueError("FIBPATH_ORDER must be a nonnegative integer, got %r" % raw)
     return n
 
 

@@ -2,6 +2,10 @@
 
 from fractions import Fraction
 
+from fibpaths.contfrac import _check_levels, _mirror
+from fibpaths.kfib import binom, convolved_binomial, kfib, multinom
+from fibpaths.series import Series, one
+
 
 def ints(series):
     """Coefficients of a series as plain ints; fails if any is non-integral."""
@@ -33,3 +37,114 @@ def long_division(num, den, m):
                 rem[i] -= q * d
         rem = rem[1:] + [Fraction(0)]
     return out
+
+
+# -- slow references for the fast paths -----------------------------------------
+#
+# Each is the full-precision code the package used before its fast path: the
+# continued fractions evaluate every level and every meander tail through the
+# full order, and the formula sums add Fractions.
+
+
+def excursion_cf_reference(levels, depth, order):
+    _check_levels(levels, depth)
+    unit = one(order)
+    e = (unit - levels[depth].h).inverse()
+    for i in range(depth - 1, -1, -1):
+        lvl = levels[i]
+        e = (unit - lvl.h - lvl.f * lvl.g * e).inverse()
+    return e
+
+
+def grand_excursion_cf_reference(levels, depth, order):
+    _check_levels(levels, depth, primed=True)
+    unit = one(order)
+    if depth == 0:
+        return (unit - levels[0].h).inverse()
+    lvl0 = levels[0]
+    up = excursion_cf_reference(levels[1:], depth - 1, order)
+    down = excursion_cf_reference(
+        _mirror(levels[1:], keep_root_loop=False), depth - 1, order
+    )
+    return (
+        unit - lvl0.h - lvl0.f * lvl0.g * up - lvl0.fp * lvl0.gp * down
+    ).inverse()
+
+
+def meander_cf_reference(levels, depth, order):
+    _check_levels(levels, depth)
+    cache: dict = {}
+
+    def tail(j):
+        key = tuple(id(lvl) for lvl in levels[j : j + depth + 1])
+        got = cache.get(key)
+        if got is None:
+            got = cache[key] = excursion_cf_reference(levels[j:], depth, order)
+        return got
+
+    total = Series([0] * (order + 1))
+    prefix = one(order)
+    j = 0
+    while prefix.valuation() <= order:
+        if j + depth >= len(levels):
+            raise ValueError(
+                "need at least %d levels for order %d at depth %d"
+                % (order + depth + 2, order, depth)
+            )
+        e = tail(j)
+        total = total + prefix * e
+        prefix = prefix * levels[j].f * e
+        j += 1
+    return total
+
+
+def _mirror_shared(levels):
+    """_mirror(levels), except that the repeats of one level share one
+    mirrored level, so that the id-keyed tail cache of the meander reference
+    hits on a constant mirrored chain; its result is the same."""
+    first = {}
+    return [
+        first.setdefault((id(lvl), i == 0), m)
+        for i, (lvl, m) in enumerate(zip(levels, _mirror(levels)))
+    ]
+
+
+def grand_meander_cf_reference(levels, depth, order):
+    _check_levels(levels, depth, primed=True)
+    mirrored = _mirror_shared(levels)
+    e = excursion_cf_reference(levels, depth, order)
+    ep = excursion_cf_reference(mirrored, depth, order)
+    g = meander_cf_reference(levels, depth, order)
+    gp = meander_cf_reference(mirrored, depth, order)
+    h0 = levels[0].h
+    num = ep * g + e * gp - e * ep
+    den = e + ep - e * ep * (one(order) - h0)
+    return num / den
+
+
+def coeff_grand_reference(k, t):
+    if t == 0:
+        return 1
+    total = Fraction(kfib(k + 1, t))
+    for n in range(1, t // 2 + 1):
+        for m in range((t - 2 * n) // 2 + 1):
+            base = Fraction(2**n * n, n + 2 * m) * binom(n + 2 * m, m)
+            for l in range(t - 2 * n - 2 * m + 1):
+                c = convolved_binomial(k, t - 2 * n - 2 * m - l, l)
+                if c:
+                    total += base * binom(l + 2 * n + 2 * m, l) * c
+    assert total.denominator == 1
+    return int(total)
+
+
+def coeff_prefix_reference(k, t):
+    total = Fraction(0)
+    for n in range(t + 1):
+        for m in range((t - n) // 2 + 1):
+            pref = Fraction(n + 1, n + m + 1)
+            for l in range(t - n - 2 * m + 1):
+                c = convolved_binomial(k, t - n - 2 * m - l, l)
+                if c:
+                    total += pref * multinom(n + 2 * m + l, (m, l, m + n)) * c
+    assert total.denominator == 1
+    return int(total)

@@ -55,6 +55,12 @@ def test_validation():
         count_paths("fib", 1, -1)
 
 
+@pytest.mark.parametrize("k", [True, 1.0])
+def test_count_paths_rejects_k_that_is_not_an_int(k):
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        count_paths("fib", k, 3)
+
+
 def test_list_paths_figure_example():
     paths = list_paths("fib", 2, 3)
     assert len(paths) == 7

@@ -117,6 +117,19 @@ def test_seq_brute_budget_exits_2(capsys):
     assert "budget" in err
 
 
+def test_verify_brute_max_over_budget_exits_2_before_counting(capsys, monkeypatch):
+    def no_counting(*args, **kwargs):
+        raise AssertionError("verify counted before checking --brute-max")
+
+    monkeypatch.setattr(cli.families, "verify_methods", no_counting)
+    code, out, err = run(
+        capsys, "verify", "--k", "1", "--n-max", "20", "--brute-max", "20"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--brute-max" in err and "budget 14" in err
+
+
 # -- tables ----------------------------------------------------------------------
 
 

@@ -69,6 +69,19 @@ def test_gf_respects_order_env(monkeypatch):
     assert gf("fib", 1).order == 7
 
 
+@pytest.mark.parametrize("k", [True, 2.0])
+def test_gf_rejects_k_that_is_not_an_int(k):
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        gf("fib", k, 4)
+
+
+@pytest.mark.parametrize("raw", ["abc", "", "-3"])
+def test_gf_names_a_malformed_order_env(monkeypatch, raw):
+    monkeypatch.setenv("FIBPATH_ORDER", raw)
+    with pytest.raises(ValueError, match="FIBPATH_ORDER.*%r" % raw):
+        gf("fib", 1)
+
+
 # -- coefficient formulas ------------------------------------------------------
 
 

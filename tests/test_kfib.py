@@ -53,6 +53,12 @@ def test_kfib_validation():
         kfib(2, -1)
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+def test_kfib_rejects_k_that_is_not_an_int(k):
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        kfib(k, 3)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_kfib_matches_generating_function(k):
     gf = poly([0, 1], 40) / poly([1, -k, -1], 40)
