@@ -1,28 +1,10 @@
-"""Kernel backend selection.
+"""The series kernels, bound under the names the benchmark tracer reads.
 
-Prefers the compiled extension, falls back to the pure-Python kernels.
-``FIBPATH_KERNEL=py`` forces the fallback, ``FIBPATH_KERNEL=c`` makes a
-missing extension an import error instead of a silent fallback.
+``perfbench/tracing.py`` patches ``mul``/``inv``/``sqrt`` on ``kernels`` and
+reports ``fibpaths.BACKEND``, so ``series.py`` must look the kernels up on
+this object at call time rather than import them by name.
 """
 
-import os
+from . import _kernels_py as kernels
 
-from . import _kernels_py
-
-
-def _load():
-    forced = os.environ.get("FIBPATH_KERNEL", "").strip().lower()
-    if forced in ("py", "pure", "python"):
-        return _kernels_py, "pure"
-    try:
-        from . import _kernels
-    except ImportError:
-        if forced in ("c", "compiled"):
-            raise ImportError(
-                "FIBPATH_KERNEL=%s but the compiled kernels are not built" % forced
-            ) from None
-        return _kernels_py, "pure"
-    return _kernels, "compiled"
-
-
-kernels, BACKEND = _load()
+BACKEND = "pure"

@@ -1,7 +1,6 @@
 """Pure-Python series kernels.
 
-Portable fallback for the compiled ``fibpaths._kernels`` extension.  Each
-function takes coefficient sequences (index = exponent, entries Fraction)
+Each function takes coefficient sequences (index = exponent, entries Fraction)
 and the number ``m`` of output coefficients, and returns a list of exactly
 ``m`` Fractions.  Preconditions (nonzero or unit constant term) are the
 caller's job; see fibpaths.series.

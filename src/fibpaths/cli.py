@@ -168,6 +168,10 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "seq" and args.depth is not None \
+            and args.method not in ("cf", "automaton"):
+        parser.error("--depth applies only to --method cf or automaton, not %s"
+                     % args.method)
     try:
         return args.func(args)
     except MethodUnavailable as exc:

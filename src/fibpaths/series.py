@@ -19,10 +19,9 @@ import math
 import os
 from fractions import Fraction
 
-from ._backend import BACKEND, kernels
+from ._backend import kernels
 
 __all__ = [
-    "BACKEND",
     "BadConstantTerm",
     "DEFAULT_ORDER",
     "DivisionByZeroSeries",

@@ -6,19 +6,19 @@ design; this file is the single place that states what the package
 promises.
 """
 
-import os
 import time
+from fractions import Fraction
 
 import hypothesis
 
-from fibpaths import BACKEND, brute, gf, poly, zero
+from fibpaths import brute, gf, poly, zero
 from fibpaths.automata import ChainSpec, build_chain, motzkin_gf, solve
 from fibpaths.contfrac import CFLevel
 from fibpaths.families import FAMILIES, METHODS, verify_methods
 from fibpaths.kfib import convolved_binomial, convolved_gf, convolved_sum
 from fibpaths.tables import PUBLISHED, row_diff
 
-from helpers import ints
+from helpers import ints, long_division
 
 MOTZKIN = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835]
 
@@ -109,21 +109,11 @@ def test_property_suite_configuration():
     _verdict("property suite runs >=200 derandomized cases per invariant")
 
 
-def test_backend_selection():
-    assert BACKEND in ("compiled", "pure")
-    from fibpaths import _kernels_py
-
-    sample = poly([1, 3, -2, 5, 7], 20)
-    active = sample.inverse()
-    pure = _kernels_py.inv(tuple(sample.coefficient(i) for i in range(21)), 21)
-    assert list(pure) == [active.coefficient(i) for i in range(21)]
-    if os.environ.get("FIBPATH_KERNEL", "").lower() in ("py", "pure", "python"):
-        assert BACKEND == "pure"
-    else:
-        try:
-            from fibpaths import _kernels  # noqa: F401
-        except ImportError:
-            assert BACKEND == "pure"
-        else:
-            assert BACKEND == "compiled"
-    _verdict("kernel backend '%s' active, pure fallback agrees" % BACKEND)
+def test_series_division_matches_long_division():
+    num = [Fraction(2, 3), -1, Fraction(5, 7), 0, 4]
+    den = [Fraction(-3, 2), Fraction(1, 5), 2, Fraction(-7, 3), 1]
+    a = poly(num, 20)
+    b = poly(den, 20)
+    assert b.inverse().coefficients() == tuple(long_division([1], den, 21))
+    assert (a / b).coefficients() == tuple(long_division(num, den, 21))
+    _verdict("series reciprocal and quotient agree with long division mod z^21")

@@ -88,6 +88,7 @@ def test_seq_usage_errors_exit_2(capsys):
         ["seq", "--family", "fib", "--k", "2", "--n", "-3"],
         ["seq", "--family", "nope", "--k", "2", "--n", "5"],
         ["seq", "--family", "fib", "--k", "2", "--n", "5", "--method", "nope"],
+        ["seq", "--family", "fib", "--k", "2", "--n", "5", "--depth", "3"],
         ["nonsense"],
         [],
     ):
