@@ -11,7 +11,7 @@ from ._backend import BACKEND
 from .brute import count_paths, list_paths
 from .families import FAMILIES, METHODS, PathCountReport, gf, sequence, verify_methods
 from .kfib import kfib
-from .series import Series, default_order, one, poly, zero
+from .series import Series, one, poly, zero
 
 __version__ = "0.1.0"
 
@@ -23,7 +23,6 @@ __all__ = [
     "Series",
     "__version__",
     "count_paths",
-    "default_order",
     "gf",
     "kfib",
     "list_paths",

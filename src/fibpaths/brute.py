@@ -16,7 +16,8 @@ continued fractions or automata.
 
 from __future__ import annotations
 
-from .kfib import check_k, kfib
+from ._checks import FAMILIES, check_family, check_k, check_size
+from .kfib import kfib
 
 __all__ = [
     "BudgetExceeded",
@@ -24,11 +25,10 @@ __all__ = [
     "COUNT_BUDGET",
     "FAMILIES",
     "LIST_BUDGET",
+    "check_budget",
     "count_paths",
     "list_paths",
 ]
-
-FAMILIES = ("fib", "grand", "prefix", "grand-prefix")
 
 # family -> (must stay nonnegative, must end at level 0)
 CONSTRAINTS = {
@@ -46,15 +46,11 @@ class BudgetExceeded(ValueError):
     """Path length beyond what exhaustive enumeration is allowed to do."""
 
 
-def _check(family: str, k: int, n: int, budget: int):
-    if family not in CONSTRAINTS:
-        raise ValueError("unknown family %r (one of %s)" % (family, ", ".join(FAMILIES)))
-    check_k(k)
-    if n < 0:
-        raise ValueError("path length must be nonnegative, got %r" % (n,))
-    if n > budget:
+def check_budget(name: str, n: int, budget: int = COUNT_BUDGET) -> None:
+    """Refuse a path length `n`, the argument `name`, past `budget`."""
+    if check_size(name, n) > budget:
         raise BudgetExceeded(
-            "length %d exceeds the enumeration budget %d" % (n, budget)
+            "%s: length %d exceeds the enumeration budget %d" % (name, n, budget)
         )
 
 
@@ -62,9 +58,11 @@ def count_paths(family: str, k: int, n: int, memo: bool = False) -> int:
     """Total weight of family paths of length exactly n.
 
     Plain recursion over the next step; memo=True caches on (remaining,
-    level), advisable for n > 10.  Lengths beyond 14 raise BudgetExceeded.
+    level), advisable for n > 10; n > COUNT_BUDGET raises BudgetExceeded.
     """
-    _check(family, k, n, COUNT_BUDGET)
+    check_family(family)
+    check_k(k)
+    check_budget("n", n)
     nonneg, end_zero = CONSTRAINTS[family]
     weights = [kfib(k, l) for l in range(n + 1)]
     cache: dict = {}
@@ -93,7 +91,9 @@ def list_paths(family: str, k: int, n: int):
     multiplicity, as (steps, weight) pairs; steps are "U", "D" or ("H", l).
     Order is deterministic: U before D before H(1), H(2), ...
     """
-    _check(family, k, n, LIST_BUDGET)
+    check_family(family)
+    check_k(k)
+    check_budget("n", n, LIST_BUDGET)
     nonneg, end_zero = CONSTRAINTS[family]
     weights = [kfib(k, l) for l in range(n + 1)]
     out = []

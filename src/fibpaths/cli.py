@@ -16,9 +16,10 @@ import argparse
 import json
 import sys
 
-from . import families, tables
+from . import brute, families, tables
+from ._checks import check_k, check_size
 from .automata import SingularSystem
-from .brute import COUNT_BUDGET, BudgetExceeded
+from .brute import BudgetExceeded
 from .families import FAMILIES, METHODS, MethodUnavailable, NonIntegralResult
 from .series import SeriesError
 
@@ -29,18 +30,18 @@ EXIT_UNAVAILABLE = 3
 EXIT_INTERNAL = 4
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return n
+def _checked(check, *names):
+    """argparse type: an int that `check` accepts; a refusal exits 2."""
+    def parse(text: str) -> int:
+        try:
+            return check(*names, int(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError("must be a nonnegative integer")
-    return n
+_positive_int = _checked(check_k)
+_nonneg_int = _checked(check_size, "value")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,11 +137,7 @@ def cmd_tables(args) -> int:
 
 def cmd_verify(args) -> int:
     top = min(args.brute_max, args.n_max)
-    if top > COUNT_BUDGET:
-        raise BudgetExceeded(
-            "--brute-max: length %d exceeds the enumeration budget %d"
-            % (top, COUNT_BUDGET)
-        )
+    brute.check_budget("--brute-max", top)
     fams = (args.family,) if args.family else FAMILIES
     ks = (args.k,) if args.k else tuple(range(1, args.k_max + 1))
     failures = []
@@ -168,10 +165,16 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "seq" and args.depth is not None \
-            and args.method not in ("cf", "automaton"):
-        parser.error("--depth applies only to --method cf or automaton, not %s"
-                     % args.method)
+    if args.command == "seq":
+        if args.header and args.format != "csv":
+            parser.error("--header applies only to --format csv")
+        if args.depth is not None and args.method not in ("cf", "automaton"):
+            parser.error("--depth applies only to --method cf or automaton, not %s"
+                         % args.method)
+        least = families.default_depth(args.family, args.n, args.method)
+        if args.depth is not None and args.depth < least:
+            parser.error("--depth %d is below %d, the least depth exact through --n %d"
+                         % (args.depth, least, args.n))
     try:
         return args.func(args)
     except MethodUnavailable as exc:

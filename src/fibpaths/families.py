@@ -25,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import automata, brute, contfrac
+from ._checks import check_family, check_k, check_size
 from .brute import CONSTRAINTS, FAMILIES
-from .kfib import binom, catalan, check_k, convolved_binomial, kfib
-from .series import Series, default_order, poly
+from .kfib import binom, catalan, convolved_binomial, kfib
+from .series import DEFAULT_ORDER, Series, poly
 
 __all__ = [
     "FAMILIES",
@@ -54,11 +55,6 @@ class MethodUnavailable(ValueError):
 
 class NonIntegralResult(ArithmeticError):
     """A path count came out non-integral; the computation is inconsistent."""
-
-
-def _check_family(family):
-    if family not in CONSTRAINTS:
-        raise ValueError("unknown family %r (one of %s)" % (family, ", ".join(FAMILIES)))
 
 
 def horizontal_weight(k: int, order: int) -> Series:
@@ -90,15 +86,13 @@ def default_depth(family: str, order: int, method: str) -> int:
 def gf(family: str, k: int, order: int | None = None, method: str = "closed",
        depth: int | None = None) -> Series:
     """Generating function of the family, exact through `order`
-    (default: series.default_order()).  `depth` overrides the truncation
+    (default: series.DEFAULT_ORDER).  `depth` overrides the truncation
     depth of the cf and automaton methods."""
-    _check_family(family)
+    check_family(family)
     check_k(k)
-    n = default_order() if order is None else order
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    if depth is not None and depth < 0:
-        raise ValueError("depth must be nonnegative")
+    n = DEFAULT_ORDER if order is None else check_size("order", order)
+    if depth is not None:
+        check_size("depth", depth)
     if method == "closed":
         out = _closed(family, k, n)
     elif method == "cf":
@@ -106,8 +100,14 @@ def gf(family: str, k: int, order: int | None = None, method: str = "closed",
     elif method == "automaton":
         out = _automaton(family, k, n, depth)
     elif method == "formula":
-        out = Series([_formula_coeff(family, k, t) for t in range(n + 1)])
+        if family not in FORMULAS:
+            raise MethodUnavailable(
+                "no coefficient-sum formula for the %s family; "
+                "use closed, cf, automaton or brute" % family
+            )
+        out = Series([FORMULAS[family](k, t) for t in range(n + 1)])
     elif method == "brute":
+        brute.check_budget("order", n)
         out = Series([brute.count_paths(family, k, t, memo=True) for t in range(n + 1)])
     else:
         raise ValueError("unknown method %r (one of %s)" % (method, ", ".join(METHODS)))
@@ -163,6 +163,7 @@ def coeff_fib(k: int, t: int) -> int:
     """[z^t] of the fib family: sum over n returning pairs and m runs of
     C(m+2n, m) Catalan(n) F^(m)_{k, t-2n-m+1}."""
     check_k(k)
+    check_size("t", t)
     total = 0
     for n in range(t // 2 + 1):
         cn = catalan(n)
@@ -177,7 +178,7 @@ def coeff_grand(k: int, t: int) -> int:
     """[z^t] of the grand family; t = 0 is 1 by convention (empty path).
     Each (n, m) term carries the integer 2^n n/(n+2m) C(n+2m, m)."""
     check_k(k)
-    if t == 0:
+    if check_size("t", t) == 0:
         return 1
     total = kfib(k + 1, t)
     for n in range(1, t // 2 + 1):
@@ -199,6 +200,7 @@ def coeff_prefix(k: int, t: int) -> int:
     term carries the integer (n+1)/(n+m+1) C(n+2m, m); with C(n+2m+l, l)
     that is (n+1)/(n+m+1) times the multinomial (n+2m+l; m, l, m+n)."""
     check_k(k)
+    check_size("t", t)
     total = 0
     for n in range(t + 1):
         for m in range((t - n) // 2 + 1):
@@ -214,17 +216,8 @@ def coeff_prefix(k: int, t: int) -> int:
     return total
 
 
-def _formula_coeff(family: str, k: int, t: int) -> int:
-    if family == "fib":
-        return coeff_fib(k, t)
-    if family == "grand":
-        return coeff_grand(k, t)
-    if family == "prefix":
-        return coeff_prefix(k, t)
-    raise MethodUnavailable(
-        "no coefficient-sum formula for the grand-prefix family; "
-        "use closed, cf, automaton or brute"
-    )
+# family -> its coefficient-sum formula (k, t) -> [z^t]; grand-prefix has none
+FORMULAS = {"fib": coeff_fib, "grand": coeff_grand, "prefix": coeff_prefix}
 
 
 # -- reports ------------------------------------------------------------------
@@ -261,6 +254,7 @@ def sequence(family: str, k: int, n_max: int, method: str = "closed",
              depth: int | None = None) -> PathCountReport:
     """Counts for n = 0..n_max as a report; every count is checked to be a
     nonnegative integer before anything is emitted."""
+    check_size("n_max", n_max)
     series = gf(family, k, n_max, method, depth)
     counts = []
     for t in range(n_max + 1):
@@ -278,15 +272,16 @@ def verify_methods(family: str, k: int, n_max: int, brute_max: int = 10,
     """Cross-check every applicable method against the closed form.
 
     Returns mismatch tuples (family, k, n, method_a, method_b, value_a,
-    value_b); empty means full agreement.
+    value_b); empty means full agreement.  A brute-force window past
+    COUNT_BUDGET is refused before anything is counted.
     """
-    _check_family(family)
+    check_family(family)
     check_k(k)
+    top = min(check_size("brute_max", brute_max), check_size("n_max", n_max))
+    brute.check_budget("brute_max", top)
     reference = sequence(family, k, n_max, "closed").counts
     mismatches = []
-    others = ["cf", "automaton"]
-    if family != "grand-prefix":
-        others.append("formula")
+    others = ["cf", "automaton"] + (["formula"] if family in FORMULAS else [])
     for method in others:
         got = sequence(family, k, n_max, method, depth).counts
         for n in range(n_max + 1):
@@ -295,7 +290,6 @@ def verify_methods(family: str, k: int, n_max: int, brute_max: int = 10,
                     (family, k, n, "closed", method, reference[n], got[n])
                 )
                 break
-    top = min(brute_max, n_max)
     for n in range(top + 1):
         got_n = brute.count_paths(family, k, n, memo=True)
         if got_n != reference[n]:

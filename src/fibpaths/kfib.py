@@ -9,9 +9,10 @@ closed form), which the test suite plays against each other.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 from math import comb, factorial, prod
 
+from ._checks import check_k, check_size
 from .series import Series, one, poly
 
 __all__ = [
@@ -31,17 +32,10 @@ class IndexMismatch(ValueError):
     """Multinomial parts that do not sum to the top index."""
 
 
-def check_k(k) -> None:
-    """Reject a color count k that is not a positive int; bool is no int here."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError("k must be a positive integer, got %r" % (k,))
-
-
 def kfib(k: int, n: int) -> int:
     """The k-Fibonacci number F_{k,n}."""
     check_k(k)
-    if n < 0:
-        raise ValueError("n must be nonnegative, got %r" % (n,))
+    check_size("n", n)
     a, b = 0, 1
     for _ in range(n):
         a, b = b, k * b + a
@@ -52,18 +46,20 @@ def convolved_gf(k: int, r: int, order: int) -> Series:
     """(1 - k x - x^2)^(-r) as a series; its coefficient of x^j is the
     r-fold convolved number F^(r)_{k,j+1}.  r = 0 gives the series 1."""
     check_k(k)
-    if r < 0:
-        raise ValueError("convolution order r must be nonnegative")
+    check_size("r", r)
+    check_size("order", order)
     if r == 0:
         return one(order)
     return poly([1, -k, -1], order).inverse() ** r
 
 
-@cache
+# typed: True or 2.0 must not hit the entry cached for 1 or 2 and skip the checks
+@lru_cache(maxsize=None, typed=True)
 def convolved_sum(k: int, m: int, r: int) -> int:
     """F^(r)_{k,m+1} as the sum over weak compositions m_1+...+m_r = m of
     prod_i F_{k,m_i+1}, evaluated by peeling off the first part."""
     check_k(k)
+    check_size("r", r)
     if m < 0:
         return 0
     if r == 0:
@@ -75,11 +71,12 @@ def convolved_sum(k: int, m: int, r: int) -> int:
     )
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def convolved_binomial(k: int, j: int, r: int) -> int:
     """Binomial closed form for F^(r)_{k,j+1}:
     sum_{l=0}^{floor(j/2)} C(j+r-l-1, j-l) C(j-l, l) k^(j-2l)."""
     check_k(k)
+    check_size("r", r)
     if j < 0:
         return 0
     if r == 0:

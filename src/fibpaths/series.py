@@ -16,7 +16,6 @@ they are comparable".  Series are consequently unhashable.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
 from ._backend import kernels
@@ -30,27 +29,12 @@ __all__ = [
     "Series",
     "SeriesError",
     "ZeroConstantTerm",
-    "default_order",
     "one",
     "poly",
     "zero",
 ]
 
 DEFAULT_ORDER = 64
-
-
-def default_order() -> int:
-    """Default truncation order; the FIBPATH_ORDER variable overrides it."""
-    raw = os.environ.get("FIBPATH_ORDER")
-    if raw is None:
-        return DEFAULT_ORDER
-    try:
-        n = int(raw)
-    except ValueError:
-        n = -1  # refused below, like a negative order
-    if n < 0:
-        raise ValueError("FIBPATH_ORDER must be a nonnegative integer, got %r" % raw)
-    return n
 
 
 class SeriesError(ArithmeticError):

@@ -1,0 +1,86 @@
+"""The input contract: every entry point refuses a bad k or size the same way,
+and the names the perfbench tracer patches stay where it looks for them."""
+
+import pytest
+
+from fibpaths import brute, families
+from fibpaths.brute import BudgetExceeded, count_paths, list_paths
+from fibpaths.families import (
+    coeff_fib,
+    coeff_grand,
+    coeff_prefix,
+    gf,
+    sequence,
+    verify_methods,
+)
+from fibpaths.kfib import check_k, convolved_binomial, convolved_gf, convolved_sum, kfib
+
+# entry point -> arguments it accepts; each k or size in them is replaced in turn
+ENTRY_POINTS = [
+    (gf, dict(family="fib", k=2, order=4, method="cf", depth=3)),
+    (sequence, dict(family="fib", k=2, n_max=4, method="automaton", depth=3)),
+    (verify_methods, dict(family="fib", k=2, n_max=4, brute_max=3, depth=3)),
+    (kfib, dict(k=2, n=4)),
+    (convolved_gf, dict(k=2, r=2, order=4)),
+    (convolved_sum, dict(k=2, m=3, r=1)),
+    (convolved_binomial, dict(k=2, j=3, r=1)),
+    (coeff_fib, dict(k=2, t=4)),
+    (coeff_grand, dict(k=2, t=4)),
+    (coeff_prefix, dict(k=2, t=4)),
+    (count_paths, dict(family="fib", k=2, n=4)),
+    (list_paths, dict(family="fib", k=2, n=4)),
+]
+CHECKED = ("k", "order", "depth", "n_max", "brute_max", "n", "r", "t")
+BAD = [True, 2.0, "3", -1]
+
+
+@pytest.mark.parametrize(
+    "fn, good, arg, bad",
+    [
+        pytest.param(fn, good, arg, bad, id="%s-%s=%r" % (fn.__name__, arg, bad))
+        for fn, good in ENTRY_POINTS
+        for arg in good
+        if arg in CHECKED
+        for bad in BAD
+    ],
+)
+def test_bad_k_or_size_raises_value_error_naming_it(fn, good, arg, bad):
+    # the good call first, so a cached entry for 1 or 2 cannot answer True or 2.0
+    fn(**good)
+    with pytest.raises(ValueError, match="^%s must be" % arg):
+        fn(**dict(good, **{arg: bad}))
+
+
+def test_brute_windows_past_the_budget_are_refused_before_counting(monkeypatch):
+    def no_counting(*args, **kwargs):
+        raise AssertionError("counted before checking the budget")
+
+    monkeypatch.setattr(brute, "count_paths", no_counting)
+    with pytest.raises(BudgetExceeded, match="order: length 20 .* budget 14"):
+        gf("fib", 2, 20, "brute")
+    monkeypatch.setattr(families, "gf", no_counting)
+    with pytest.raises(BudgetExceeded, match="brute_max: length 15 .* budget 14"):
+        verify_methods("fib", 2, 20, brute_max=15)
+
+
+def test_what_the_tracer_patches_is_still_there(monkeypatch):
+    for cached in (convolved_binomial, convolved_sum):
+        cached.cache_clear()
+        cached(2, 3, 1)
+        assert cached.cache_info().misses >= 1
+    assert brute.FAMILIES == families.FAMILIES == tuple(brute.CONSTRAINTS)
+    assert check_k(3) == 3
+
+    methods = []
+    real_gf = families.gf
+
+    def counting_gf(family, k, order=None, method="closed", depth=None):
+        methods.append(method)
+        return real_gf(family, k, order, method, depth)
+
+    monkeypatch.setattr(families, "gf", counting_gf)
+    sequence("prefix", 2, 4, "cf")
+    assert methods == ["cf"]
+    methods.clear()
+    assert verify_methods("prefix", 2, 4, brute_max=2) == []
+    assert methods == ["closed", "cf", "automaton", "formula"]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fibpaths import cli, tables
+from fibpaths import cli, families, tables
 
 
 def run(capsys, *argv):
@@ -89,6 +89,12 @@ def test_seq_usage_errors_exit_2(capsys):
         ["seq", "--family", "nope", "--k", "2", "--n", "5"],
         ["seq", "--family", "fib", "--k", "2", "--n", "5", "--method", "nope"],
         ["seq", "--family", "fib", "--k", "2", "--n", "5", "--depth", "3"],
+        # shallower than the exact horizon of --n
+        ["seq", "--family", "prefix", "--k", "2", "--n", "5", "--method", "cf",
+         "--depth", "1"],
+        ["seq", "--family", "grand-prefix", "--k", "2", "--n", "5",
+         "--method", "automaton", "--depth", "0"],
+        ["seq", "--family", "fib", "--k", "2", "--n", "4", "--header"],  # text
         ["nonsense"],
         [],
     ):
@@ -96,6 +102,16 @@ def test_seq_usage_errors_exit_2(capsys):
             cli.main(argv)
         assert exc.value.code == 2, argv
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("method", ["cf", "automaton"])
+@pytest.mark.parametrize("family", families.FAMILIES)
+def test_seq_at_the_least_depth_prints_the_closed_counts(capsys, family, method):
+    base = ("seq", "--family", family, "--k", "2", "--n", "9")
+    depth = families.default_depth(family, 9, method)
+    _, closed, _ = run(capsys, *base)
+    code, out, err = run(capsys, *base, "--method", method, "--depth", str(depth))
+    assert (code, out, err) == (0, closed, "")
 
 
 def test_seq_formula_unavailable_exits_3(capsys):

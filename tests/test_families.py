@@ -19,6 +19,7 @@ from fibpaths.families import (
     verify_methods,
 )
 from fibpaths.kfib import kfib
+from fibpaths.series import DEFAULT_ORDER
 
 from helpers import ints
 
@@ -64,22 +65,15 @@ def test_gf_formula_unavailable_for_grand_prefix():
         gf("grand-prefix", 2, 5, "formula")
 
 
-def test_gf_respects_order_env(monkeypatch):
+def test_gf_default_order_ignores_the_environment(monkeypatch):
     monkeypatch.setenv("FIBPATH_ORDER", "7")
-    assert gf("fib", 1).order == 7
+    assert gf("fib", 1).order == DEFAULT_ORDER
 
 
 @pytest.mark.parametrize("k", [True, 2.0])
 def test_gf_rejects_k_that_is_not_an_int(k):
     with pytest.raises(ValueError, match="k must be a positive integer"):
         gf("fib", k, 4)
-
-
-@pytest.mark.parametrize("raw", ["abc", "", "-3"])
-def test_gf_names_a_malformed_order_env(monkeypatch, raw):
-    monkeypatch.setenv("FIBPATH_ORDER", raw)
-    with pytest.raises(ValueError, match="FIBPATH_ORDER.*%r" % raw):
-        gf("fib", 1)
 
 
 # -- coefficient formulas ------------------------------------------------------
