@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import automata, brute, contfrac
-from ._checks import check_family, check_k, check_size
+from ._checks import METHODS, check_family, check_k, check_method, check_size
 from .brute import CONSTRAINTS, FAMILIES
 from .kfib import binom, catalan, convolved_binomial, kfib
 from .series import DEFAULT_ORDER, Series, poly
@@ -46,9 +46,6 @@ __all__ = [
     "verify_methods",
 ]
 
-METHODS = ("closed", "cf", "automaton", "formula", "brute")
-
-
 class MethodUnavailable(ValueError):
     """Requested method has no published route for this family."""
 
@@ -60,6 +57,8 @@ class NonIntegralResult(ArithmeticError):
 def horizontal_weight(k: int, order: int) -> Series:
     """Loop weight z/(1 - kz - z^2): a run of length l in k of the F_{k,l}
     colors."""
+    check_k(k)
+    check_size("order", order)
     return poly([0, 1], order) / poly([1, -k, -1], order)
 
 
@@ -77,6 +76,9 @@ def default_depth(family: str, order: int, method: str) -> int:
     with every state final the all-up walk escapes a depth-s chain after s
     steps, so the meander families need depth = order there.
     """
+    check_family(family)
+    check_size("order", order)
+    check_method(method)
     half = (order + 1) // 2 + 1
     if method == "automaton" and CONSTRAINTS[family][1] is False:
         return order
@@ -89,6 +91,7 @@ def gf(family: str, k: int, order: int | None = None, method: str = "closed",
     (default: series.DEFAULT_ORDER).  `depth` overrides the truncation
     depth of the cf and automaton methods."""
     check_family(family)
+    check_method(method)
     check_k(k)
     n = DEFAULT_ORDER if order is None else check_size("order", order)
     if depth is not None:
@@ -106,11 +109,9 @@ def gf(family: str, k: int, order: int | None = None, method: str = "closed",
                 "use closed, cf, automaton or brute" % family
             )
         out = Series([FORMULAS[family](k, t) for t in range(n + 1)])
-    elif method == "brute":
+    else:
         brute.check_budget("order", n)
         out = Series([brute.count_paths(family, k, t, memo=True) for t in range(n + 1)])
-    else:
-        raise ValueError("unknown method %r (one of %s)" % (method, ", ".join(METHODS)))
     if not out.is_integral():
         raise NonIntegralResult(
             "%s/%s GF for k=%d has non-integral coefficients" % (family, method, k)

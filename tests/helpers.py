@@ -42,8 +42,25 @@ def long_division(num, den, m):
 # -- slow references for the fast paths -----------------------------------------
 #
 # Each is the full-precision code the package used before its fast path: the
-# continued fractions evaluate every level and every meander tail through the
-# full order, and the formula sums add Fractions.
+# reciprocal kernel runs on Fractions, the continued fractions evaluate every
+# level and every meander tail through the full order, and the formula sums
+# add Fractions.
+
+
+def inv_reference(a, m):
+    """The reciprocal kernel's recurrence on Fractions for every input:
+    b_0 = 1/a_0 and b_n = -(sum_{i=1..n} a_i b_{n-i}) / a_0."""
+    la = len(a)
+    inv0 = 1 / a[0]
+    b = [inv0]
+    for n in range(1, m):
+        acc = Fraction(0)
+        for i in range(1, min(n, la - 1) + 1):
+            ai = a[i]
+            if ai:
+                acc += ai * b[n - i]
+        b.append(-acc * inv0)
+    return b
 
 
 def excursion_cf_reference(levels, depth, order):

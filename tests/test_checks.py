@@ -9,7 +9,9 @@ from fibpaths.families import (
     coeff_fib,
     coeff_grand,
     coeff_prefix,
+    default_depth,
     gf,
+    horizontal_weight,
     sequence,
     verify_methods,
 )
@@ -29,6 +31,8 @@ ENTRY_POINTS = [
     (coeff_prefix, dict(k=2, t=4)),
     (count_paths, dict(family="fib", k=2, n=4)),
     (list_paths, dict(family="fib", k=2, n=4)),
+    (horizontal_weight, dict(k=2, order=4)),
+    (default_depth, dict(family="fib", order=4, method="automaton")),
 ]
 CHECKED = ("k", "order", "depth", "n_max", "brute_max", "n", "r", "t")
 BAD = [True, 2.0, "3", -1]
@@ -49,6 +53,20 @@ def test_bad_k_or_size_raises_value_error_naming_it(fn, good, arg, bad):
     fn(**good)
     with pytest.raises(ValueError, match="^%s must be" % arg):
         fn(**dict(good, **{arg: bad}))
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (default_depth, ("nope", 5, "automaton")),
+        (default_depth, ("fib", 5, "bogus")),
+        (gf, ("nope", 2, 4)),
+        (gf, ("fib", 2, 4, "bogus")),
+    ],
+)
+def test_unknown_family_or_method_raises_value_error_naming_it(fn, args):
+    with pytest.raises(ValueError, match="^unknown (family 'nope'|method 'bogus')"):
+        fn(*args)
 
 
 def test_brute_windows_past_the_budget_are_refused_before_counting(monkeypatch):

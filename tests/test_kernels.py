@@ -4,10 +4,12 @@ benchmark tracer relies on."""
 import random
 from fractions import Fraction
 
+import pytest
+
 import fibpaths
 from fibpaths import _backend, _kernels_py, poly
 
-from helpers import long_division
+from helpers import fracs, inv_reference, long_division
 
 
 def random_coeffs(rng, m, integral=False):
@@ -64,6 +66,84 @@ def test_mul_on_mixed_lengths():
     out = _kernels_py.mul([Fraction(1), Fraction(2)], [Fraction(3)], 4)
     assert_fractions(out, 4)
     assert out == [Fraction(3), Fraction(6), Fraction(0), Fraction(0)]
+
+
+def check_inv(a, m):
+    """inv(a, m) against the Fraction recurrence and long division."""
+    out = _kernels_py.inv(a, m)
+    assert_fractions(out, m)
+    assert out == inv_reference(a, m)
+    assert out == long_division([1], a, m)
+    return out
+
+
+# (len(a), m): a constant, a shorter than m, a longer than m, m = 1
+SHAPES = [(1, 1), (1, 7), (4, 12), (15, 6), (9, 1)]
+
+
+@pytest.mark.parametrize("a0", [1, -1])
+def test_inv_of_an_integer_series_with_unit_constant_term(a0):
+    rng = random.Random(20261018 + a0)
+    for la, m in SHAPES:
+        for _ in range(20):
+            a = fracs([a0] + [rng.randrange(-9, 10) for _ in range(la - 1)])
+            out = check_inv(a, m)
+            assert all(c.denominator == 1 for c in out)
+    # trailing zeros, and 1/(a0 + a0 z) = a0 (1 - z + z^2 - ...)
+    check_inv(fracs([a0, 3, -2, 0, 0, 0]), 12)
+    out = check_inv(fracs([a0, a0, 0, 0]), 9)
+    assert out == fracs([a0 * (-1) ** n for n in range(9)])
+
+
+@pytest.mark.parametrize("a0", [2, -2, Fraction(1, 3)])
+def test_inv_of_a_series_whose_constant_term_is_no_unit(a0):
+    rng = random.Random(7)
+    for la, m in SHAPES:
+        for _ in range(20):
+            a = fracs([a0] + [rng.randrange(-9, 10) for _ in range(la - 1)])
+            check_inv(a, m)
+    out = check_inv(fracs([a0, 1]), 5)
+    assert out[0] == 1 / Fraction(a0)
+
+
+@pytest.mark.parametrize("a0", [1, -1])
+def test_inv_of_a_unit_series_with_a_rational_coefficient(a0):
+    rng = random.Random(11)
+    for la, m in [(4, 12), (15, 6)]:
+        for _ in range(20):
+            a = fracs([a0] + [rng.randrange(-9, 10) for _ in range(la - 1)])
+            a[rng.randrange(1, min(la, m))] = Fraction(
+                rng.choice([-5, -1, 1, 3]), rng.choice([2, 3, 7])
+            )
+            check_inv(a, m)
+    check_inv(fracs([a0, 0, 0, Fraction(1, 2)]), 10)
+
+
+def test_inv_runs_on_ints_exactly_for_unit_integer_series(monkeypatch):
+    taken = []
+    real = _kernels_py._reciprocal
+
+    def recording(a, inv0, m):
+        if type(inv0) is int:
+            taken.append(list(a))
+        return real(a, inv0, m)
+
+    monkeypatch.setattr(_kernels_py, "_reciprocal", recording)
+    for a, m, on_ints in [
+        (fracs([1, 2, 3]), 6, True),
+        (fracs([-1, 0, 5]), 6, True),
+        ([1, -3], 4, True),
+        (fracs([1, 2, Fraction(1, 3)]), 2, True),  # the rational is past z^(m-1)
+        (fracs([1, 2, Fraction(1, 3)]), 3, False),
+        (fracs([2, 1]), 4, False),
+        (fracs([-2, 1]), 4, False),
+        (fracs([Fraction(1, 2), 1]), 4, False),
+    ]:
+        taken.clear()
+        check_inv(a, m)
+        assert bool(taken) is on_ints, (a, m)
+        if taken:
+            assert all(type(c) is int for c in taken[0])
 
 
 def test_series_calls_the_bound_kernels(monkeypatch):
