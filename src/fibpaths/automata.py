@@ -12,12 +12,31 @@ elimination with valuation pivoting.  Chains built from CF levels
 a linear chain truncated at depth s is exact through z^(2s) when only the
 bottom state is final, but only through z^s when every state is final (the
 all-up walk leaves the truncated chain after s steps).
+
+Precision rule: a walk reaches state q only behind edges whose valuations
+sum to at least d(q), the least such sum over walks from the initial state,
+so L_q affects the initial state's series only from z^d(q) on.  `solve`
+therefore carries row q, its right-hand side and its weights only through
+z^r(q), r(q) = min(order, max(order - d(q), 1)); an unreachable state takes
+r = 1, and every r is 0 when `order` is 0.  Where elimination or
+back-substitution meets row i with a pivot, a pivot-row entry, a right-hand
+side or a solved x_j of lower order, that series is padded with zeros to
+row i's order; the padded coefficients land past it, because the entry of
+row i that multiplies them has valuation at least d(j) - d(i).  The floor of
+1 keeps every valuation-1 weight nonzero, so on a chain, where elimination
+creates no entries, the solve visits the entries of a full-order solve and
+makes its kernel calls, except for a product with a right-hand side that is
+zero at its own row's order, which it skips.  `solve` returns the Series a
+full-order solve gives, with the same order.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 
+from .contfrac import _pad
 from .series import (
     DivisionByZeroSeries,
     InsufficientValuation,
@@ -92,6 +111,10 @@ def solve_linear_system(rows, rhs, order: int):
     (dicts column -> Series).  Pivots by minimal valuation, lowest row
     index on ties; SingularSystem when a column has no finite-valuation
     pivot or elimination loses the invertibility needed to back-substitute.
+
+    Row i is carried to the order of rhs[i]: a pivot, pivot-row entry,
+    right-hand side or solution of lower order is zero-padded to it where
+    it meets row i (see the precision rule above).
     """
     n = len(rows)
     rows = [dict(r) for r in rows]
@@ -119,12 +142,13 @@ def solve_linear_system(rows, rhs, order: int):
             if entry is None or entry.is_zero():
                 rows[i].pop(col, None)
                 continue
-            factor = entry / pivot
+            r = rhs[i].order
+            factor = entry / _pad(pivot, r)
             for j, v in pivot_row.items():
                 if j <= col or v.is_zero():
                     continue
                 cur = rows[i].get(j)
-                delta = factor * v
+                delta = factor * _pad(v, r)
                 nxt = (cur - delta) if cur is not None else -delta
                 if nxt.is_zero():
                     rows[i].pop(j, None)
@@ -132,13 +156,13 @@ def solve_linear_system(rows, rhs, order: int):
                     rows[i][j] = nxt
             rows[i].pop(col, None)
             if not rhs[col].is_zero():
-                rhs[i] = rhs[i] - factor * rhs[col]
+                rhs[i] = rhs[i] - factor * _pad(rhs[col], r)
     xs = [None] * n
     for i in range(n - 1, -1, -1):
         acc = rhs[i]
         for j, v in rows[i].items():
             if j > i and not v.is_zero():
-                acc = acc - v * xs[j]
+                acc = acc - v * _pad(xs[j], acc.order)
         try:
             xs[i] = acc / rows[i][i]
         except (InsufficientValuation, DivisionByZeroSeries) as exc:
@@ -148,11 +172,48 @@ def solve_linear_system(rows, rhs, order: int):
     return xs
 
 
+def _state_orders(auto: WeightedAutomaton, order: int) -> list[int]:
+    """r(q) = min(order, max(order - d(q), 1)) for every state q, d(q) the
+    least total edge valuation of a walk from the initial state to q
+    (Dijkstra; zero weights are no edges, unreachable states get r = 1)."""
+    out_edges = [[] for _ in range(auto.n_states)]
+    for src, dst, w in auto.transitions:
+        v = w.valuation()
+        if v != math.inf:
+            out_edges[src].append((v, dst))
+    dist = {auto.initial: 0}
+    heap = [(0, auto.initial)]
+    while heap:
+        d, q = heapq.heappop(heap)
+        if d > dist[q]:
+            continue
+        for v, dst in out_edges[q]:
+            if d + v < dist.get(dst, math.inf):
+                dist[dst] = d + v
+                heapq.heappush(heap, (d + v, dst))
+    return [
+        min(order, max(order - dist.get(q, math.inf), 1))
+        for q in range(auto.n_states)
+    ]
+
+
 def solve(auto: WeightedAutomaton, order: int) -> Series:
     """Generating function of the initial state, exact through `order`.
 
     Every weight must carry at least `order` coefficients: a shorter weight
     is a truncation whose tail is unknown, not an exact polynomial.
+
+    Precision rule: state q's row, right-hand side and weights are carried
+    only through z^r(q), r(q) = min(order, max(order - d(q), 1)), d(q) the
+    least total edge valuation of a walk from the initial state to q
+    (unreachable states take r = 1; every r is 0 at order 0).  Elimination
+    and back-substitution zero-pad a lower-order series to the order of the
+    row it meets; the padding lands past that order, since the entry that
+    multiplies it has valuation at least d(j) - d(i).  The floor of 1 keeps
+    every valuation-1 weight nonzero, so a chain's solve makes the kernel
+    calls of a full-order one (one product fewer where a right-hand side is
+    zero at its row's order).  The result is the Series of a full-order
+    solve, order included.
     """
     problems = validate(auto)
     if problems:
@@ -164,14 +225,15 @@ def solve(auto: WeightedAutomaton, order: int) -> Series:
                 % (src, dst, w.order, order)
             )
     n = auto.n_states
-    rows = [{i: one(order)} for i in range(n)]
+    r = _state_orders(auto, order)
+    rows = [{q: one(r[q])} for q in range(n)]
     for src, dst, w in auto.transitions:
         if w.is_zero():
             continue
-        w = w.truncate(order)
+        w = w.truncate(r[src])
         cur = rows[src].get(dst)
         rows[src][dst] = (cur - w) if cur is not None else -w
-    rhs = [one(order) if q in auto.finals else zero(order) for q in range(n)]
+    rhs = [one(r[q]) if q in auto.finals else zero(r[q]) for q in range(n)]
     xs = solve_linear_system(rows, rhs, order)
     return xs[auto.initial]
 

@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 
+from fibpaths.automata import solve_linear_system
 from fibpaths.contfrac import _check_levels, _mirror
 from fibpaths.kfib import binom, convolved_binomial, kfib, multinom
-from fibpaths.series import Series, one
+from fibpaths.series import Series, one, zero
 
 
 def ints(series):
@@ -43,8 +44,9 @@ def long_division(num, den, m):
 #
 # Each is the full-precision code the package used before its fast path: the
 # reciprocal kernel runs on Fractions, the continued fractions evaluate every
-# level and every meander tail through the full order, and the formula sums
-# add Fractions.
+# level and every meander tail through the full order, the automaton solve
+# carries every state through the full order, and the formula sums add
+# Fractions.
 
 
 def inv_reference(a, m):
@@ -137,6 +139,22 @@ def grand_meander_cf_reference(levels, depth, order):
     num = ep * g + e * gp - e * ep
     den = e + ep - e * ep * (one(order) - h0)
     return num / den
+
+
+def solve_reference(auto, order):
+    """The initial state's generating function with every state's row,
+    right-hand side and weights carried through the full `order`; on rows
+    of one order the elimination pads nothing."""
+    n = auto.n_states
+    rows = [{i: one(order)} for i in range(n)]
+    for src, dst, w in auto.transitions:
+        if w.is_zero():
+            continue
+        w = w.truncate(order)
+        cur = rows[src].get(dst)
+        rows[src][dst] = (cur - w) if cur is not None else -w
+    rhs = [one(order) if q in auto.finals else zero(order) for q in range(n)]
+    return solve_linear_system(rows, rhs, order)[auto.initial]
 
 
 def coeff_grand_reference(k, t):

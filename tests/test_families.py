@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fibpaths import brute, families
 from fibpaths.families import (
@@ -146,6 +147,22 @@ def test_default_depths():
     assert default_depth("grand", 10, "automaton") == 6
     assert default_depth("prefix", 10, "automaton") == 10
     assert default_depth("grand-prefix", 10, "automaton") == 10
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(families.FAMILIES),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=0, max_value=3),
+)
+def test_any_depth_from_the_horizon_on_gives_the_closed_counts(family, k, n, extra):
+    # the stated horizon is never optimistic: every depth from it on is exact
+    closed = gf(family, k, n, "closed").coefficients()
+    for method in ("cf", "automaton"):
+        depth = default_depth(family, n, method) + extra
+        got = gf(family, k, n, method, depth=depth)
+        assert (got.order, got.coefficients()) == (n, closed), (method, depth)
 
 
 def test_explicit_depth_overrides_default():

@@ -1,14 +1,18 @@
 """Every fast path against the slow reference it replaced (see helpers).
 
-The continued fractions must return the very Series of a full-order
-evaluation, order included, so results are compared as (order,
-coefficients) pairs: Series equality only looks at the shared range.
+The continued fractions and the automaton solve must return the very
+Series of a full-order evaluation, order included, so results are compared
+as (order, coefficients) pairs: Series equality only looks at the shared
+range.
 """
 
+import math
 import random
 
 import pytest
 
+from fibpaths import _backend, automata, gf
+from fibpaths.automata import ChainSpec, WeightedAutomaton, _state_orders, build_chain, solve
 from fibpaths.contfrac import (
     CFLevel,
     excursion_cf,
@@ -26,6 +30,7 @@ from helpers import (
     grand_excursion_cf_reference,
     grand_meander_cf_reference,
     meander_cf_reference,
+    solve_reference,
 )
 
 # name -> (fast, reference, needs two-sided weights, is a meander sum)
@@ -118,3 +123,140 @@ def test_negative_order_is_refused_like_the_reference(name):
     step = poly([0, 1], 6)
     levels = [CFLevel(step, step, step, step, step, step)] * chain_length(name, 6, 2)
     assert_matches_reference(name, levels, 2, -1)
+
+
+# -- the automaton solve --------------------------------------------------------
+
+
+def solved(fn, auto, order):
+    s = fn(auto, order)
+    return s.order, s.coefficients()
+
+
+def assert_solve_matches_reference(auto, order):
+    assert solved(solve, auto, order) == solved(solve_reference, auto, order), (
+        auto.n_states, auto.initial, sorted(auto.finals), order,
+    )
+
+
+def automaton_depths(order, family):
+    """Depth 0, depth 1, a depth below the exact horizon, the default depth
+    and twice the order."""
+    full = default_depth(family, order, "automaton")
+    return (0, 1, full // 2, full, 2 * order)
+
+
+# (kind, all_final) -> the family whose automaton this chain is
+CHAIN_FAMILIES = {
+    ("linear", False): "fib",
+    ("linear", True): "prefix",
+    ("bilinear", False): "grand",
+    ("bilinear", True): "grand-prefix",
+}
+
+
+@pytest.mark.parametrize("kind,all_final", sorted(CHAIN_FAMILIES))
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_constant_chain_automata_match_full_order(kind, all_final, k):
+    # the four values of k between them take every order 0..40
+    for turn, order in enumerate(range(k - 1, 41, 4)):
+        step = poly([0, 1], order)
+        h = horizontal_weight(k, order)
+        level = CFLevel(step, step, h, step, step, h)
+        depths = automaton_depths(order, CHAIN_FAMILIES[kind, all_final])
+        depth = depths[(turn + k) % len(depths)]
+        spec = ChainSpec(kind, depth, [level] * (depth + 1), all_final)
+        assert_solve_matches_reference(build_chain(spec), order)
+
+
+def least_valuations(auto):
+    """d(q) by Bellman-Ford relaxation: the least total edge valuation of a
+    walk from the initial state (math.inf when there is none)."""
+    d = [math.inf] * auto.n_states
+    d[auto.initial] = 0
+    for _ in range(auto.n_states):
+        for src, dst, w in auto.transitions:
+            d[dst] = min(d[dst], d[src] + w.valuation())
+    return d
+
+
+def random_automaton(rng, order):
+    """Up to 8 states, random edges with integer weights of valuation 1 to 3
+    (some zero, some longer than `order`, zero when too short for their
+    valuation), a random initial state and a random set of finals: cycles,
+    back edges and unreachable states arise as they fall."""
+    n = rng.randrange(1, 9)
+    transitions = []
+    for _ in range(rng.randrange(3 * n + 1)):
+        w_order = order + rng.choice((0, 0, 0, 2))
+        if rng.random() < 0.05:
+            w = zero(w_order)
+        else:
+            v = rng.choice((1, 1, 2, 3))
+            coeffs = [0] * v + [rng.choice((1, 2, -1))]
+            coeffs += [rng.randrange(-2, 3) for _ in range(w_order - v)]
+            w = Series(coeffs[: w_order + 1])
+        transitions.append((rng.randrange(n), rng.randrange(n), w))
+    finals = {q for q in range(n) if rng.random() < 0.4}
+    return WeightedAutomaton(n, rng.randrange(n), finals, transitions)
+
+
+def test_random_automata_match_full_order():
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(300):
+        order = rng.choice((0, 1, 2, 3, 5, 8, 12, 20, 30))
+        auto = random_automaton(rng, order)
+        assert_solve_matches_reference(auto, order)
+        d = least_valuations(auto)
+        features = {
+            "unreachable": math.inf in d,
+            "beyond order": any(order < x < math.inf for x in d),
+            "initial not 0": auto.initial != 0,
+            "several finals": len(auto.finals) > 1,
+            "back edge": any(dst < src for src, dst, _ in auto.transitions),
+            "loop": any(src == dst for src, dst, _ in auto.transitions),
+            "valuation 3": any(w.valuation() == 3 for *_, w in auto.transitions),
+        }
+        seen |= {name for name, present in features.items() if present}
+    assert seen == set(features), seen
+
+
+def test_state_orders_follow_the_least_walk_valuation():
+    rng = random.Random(7)
+    for _ in range(300):
+        order = rng.choice((0, 1, 2, 3, 5, 8, 12))
+        auto = random_automaton(rng, order)
+        want = [min(order, max(order - x, 1)) for x in least_valuations(auto)]
+        assert _state_orders(auto, order) == want
+
+
+def automaton_kernel_calls(monkeypatch, family, n):
+    """(mul, inv) calls made by gf(family, 2, n, "automaton")."""
+    calls = []
+    for name in ("mul", "inv"):
+        real = getattr(_backend.kernels, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(_backend.kernels, name, counting)
+    gf(family, 2, n, "automaton")
+    return calls.count("mul"), calls.count("inv")
+
+
+@pytest.mark.parametrize("family", sorted(CHAIN_FAMILIES.values()))
+@pytest.mark.parametrize("n", [40, 41])
+def test_automaton_makes_the_kernel_calls_of_the_full_order_solve(monkeypatch, family, n):
+    got_mul, got_inv = automaton_kernel_calls(monkeypatch, family, n)
+    monkeypatch.undo()
+    monkeypatch.setattr(automata, "solve", solve_reference)
+    want_mul, want_inv = automaton_kernel_calls(monkeypatch, family, n)
+    assert got_inv == want_inv
+    if n % 2 == 0:
+        assert got_mul == want_mul
+    else:
+        # the bottom state's right-hand side can vanish at its order, which
+        # saves the one product that would have carried it upward
+        assert want_mul - got_mul in (0, 1)
