@@ -1,14 +1,22 @@
 """Pure-Python series kernels.
 
-Each function takes coefficient sequences (index = exponent, entries Fraction)
-and the number ``m`` of output coefficients, and returns a list of exactly
-``m`` Fractions.  Preconditions (nonzero or unit constant term) are the
+Each function takes coefficient sequences (index = exponent) and the number
+``m`` of output coefficients, and returns a list of exactly ``m``
+coefficients.  Preconditions (nonzero or unit constant term) are the
 caller's job; see fibpaths.series.
 
-``inv`` runs on plain ints when its input is an integer series with constant
-term 1 or -1 through z^(m-1), as every pivot of the chain automata and the
-continued fractions is; its reciprocal is then an integer series too.  Any
-other input, and every call of ``mul`` and ``sqrt``, computes on Fractions.
+``mul`` and ``inv`` keep the number type they are given.  ``mul`` of two
+int lists returns ints; ``inv`` of an int list returns ints when its
+constant term is 1 or -1 and exact Fractions otherwise; Fraction input gives
+Fraction output.  ``inv`` also runs on plain ints when a Fraction input is
+an integer series with constant term 1 or -1 through z^(m-1), as every pivot
+of the chain automata and the continued fractions is, and converts its
+result to Fractions once at the end.  ``sqrt`` computes on Fractions.
+
+``Series`` stores Fractions, so it hands these kernels ints only for a
+quotient of an integer series by a unit integer series; its products stay
+on Fractions until ``Series`` itself stores integers (ROADMAP item 2, which
+waits for the per-call memory measurement of item 1).
 """
 
 from fractions import Fraction
@@ -17,8 +25,10 @@ _ZERO = Fraction(0)
 
 
 def mul(a, b, m):
-    """First m coefficients of the Cauchy product a*b."""
-    out = [_ZERO] * m
+    """First m coefficients of the Cauchy product a*b: ints when both
+    operands are lists of ints, else Fractions."""
+    ints = all(type(c) is int for c in a) and all(type(c) is int for c in b)
+    out = [0 if ints else _ZERO] * m
     la, lb = len(a), len(b)
     for i in range(min(la, m)):
         ai = a[i]
@@ -36,14 +46,20 @@ def inv(a, m):
 
     b_0 = 1/a_0 and b_n = -(sum_{i=1..n} a_i b_{n-i}) / a_0.  When a_0 is 1
     or -1 and a_1 .. a_{m-1} are integers, 1/a_0 = a_0 and the recurrence
-    runs on the numerators as ints, converted to Fractions once at the end;
-    otherwise it runs on Fractions.
+    runs on ints: an int list gets ints back, a Fraction list gets them
+    converted to Fractions once at the end.  Otherwise the recurrence runs
+    on Fractions, 1/a_0 included, so an int list with another constant
+    term still gets exact Fractions.
     """
     a0 = a[0]
-    if (a0 == 1 or a0 == -1) and all(c.denominator == 1 for c in a[1:m]):
-        b = _reciprocal([c.numerator for c in a[:m]], a0.numerator, m)
-        return [Fraction(c) for c in b]
-    return _reciprocal(a, 1 / a0, m)
+    if a0 == 1 or a0 == -1:
+        head = a[:m]
+        if all(type(c) is int for c in head):
+            return _reciprocal(head, a0, m)
+        if all(c.denominator == 1 for c in head):
+            b = _reciprocal([c.numerator for c in head], a0.numerator, m)
+            return [Fraction(c) for c in b]
+    return _reciprocal(a, Fraction(1) / a0, m)
 
 
 def _reciprocal(a, inv0, m):

@@ -9,8 +9,9 @@ q counts weighted walks from q into the final set,
 a linear system over the series ring solved exactly by sparse Gaussian
 elimination with valuation pivoting.  Chains built from CF levels
 (`build_chain`) reproduce the continued-fraction evaluators state by state:
-a linear chain truncated at depth s is exact through z^(2s) when only the
-bottom state is final, but only through z^s when every state is final (the
+a chain truncated at depth s is exact through z^(2s+1) when only the
+level-0 state is final (the first walk it misses climbs s+1 levels and comes
+back, 2s+2 steps), but only through z^s when every state is final (the
 all-up walk leaves the truncated chain after s steps).
 
 Precision rule: a walk reaches state q only behind edges whose valuations
@@ -36,11 +37,11 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .contfrac import _pad
 from .series import (
     DivisionByZeroSeries,
     InsufficientValuation,
     Series,
+    _pad,
     one,
     zero,
 )
@@ -106,7 +107,7 @@ def validate(auto: WeightedAutomaton) -> list[str]:
     return out
 
 
-def solve_linear_system(rows, rhs, order: int):
+def solve_linear_system(rows, rhs):
     """Solve M x = rhs over the series ring, M given as sparse rows
     (dicts column -> Series).  Pivots by minimal valuation, lowest row
     index on ties; SingularSystem when a column has no finite-valuation
@@ -234,7 +235,7 @@ def solve(auto: WeightedAutomaton, order: int) -> Series:
         cur = rows[src].get(dst)
         rows[src][dst] = (cur - w) if cur is not None else -w
     rhs = [one(r[q]) if q in auto.finals else zero(r[q]) for q in range(n)]
-    xs = solve_linear_system(rows, rhs, order)
+    xs = solve_linear_system(rows, rhs)
     return xs[auto.initial]
 
 

@@ -171,7 +171,7 @@ def main(argv=None) -> int:
         if args.depth is not None and args.method not in ("cf", "automaton"):
             parser.error("--depth applies only to --method cf or automaton, not %s"
                          % args.method)
-        least = families.default_depth(args.family, args.n, args.method)
+        least = families.least_depth(args.family, args.n, args.method)
         if args.depth is not None and args.depth < least:
             parser.error("--depth %d is below %d, the least depth exact through --n %d"
                          % (args.depth, least, args.n))

@@ -11,8 +11,9 @@ function is available both as a depth-truncated continued fraction /
 truncated sum and, for constant weights, as a closed radical form.  A chain
 truncated at depth s keeps the boundary loop and back-edge; since every
 truncated piece below is an excursion relative to its own base level, all
-the evaluators here are exact through z^(2s) when the step weights have
-valuation 1.
+the evaluators here are exact through z^(2s+1) when the step weights have
+valuation 1: the first walk they miss climbs s+1 levels above a base level
+and comes back, 2s+2 steps.
 
 Precision rule: a walk reaches level i only behind f_0 g_0 ... f_{i-1}
 g_{i-1}, whose valuation is at least 2i, so the continued fraction
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import Series, one
+from .series import Series, _pad, one
 
 __all__ = [
     "CFLevel",
@@ -107,18 +108,11 @@ def _reach(levels, depth: int, order: int) -> int:
     )
 
 
-def _pad(s: Series, order: int) -> Series:
-    """`s` extended by zero coefficients through z^order."""
-    if s.order >= order:
-        return s
-    return Series(s.coefficients() + (0,) * (order - s.order))
-
-
 def excursion_cf(levels, depth: int, order: int) -> Series:
     """Excursion GF of the chain truncated at `depth`, by the continued
     fraction E_i = 1/(1 - h_i - f_i g_i E_{i+1}) with tail E_s = 1/(1-h_s).
 
-    Exact through z^(2*depth) when the step weights have valuation 1.
+    Exact through z^(2*depth+1) when the step weights have valuation 1.
     Level i is evaluated through z^max(order - 2i, 0) only.
     """
     _check_levels(levels, depth)
@@ -154,7 +148,7 @@ def meander_cf(levels, depth: int, order: int) -> Series:
 
     The prefactor gains valuation with every up step, so the sum is finite.
     Each E_j is truncated relative to its own base level j, so the sum is
-    exact through z^(2*depth) for valuation-1 step weights.  E_j is
+    exact through z^(2*depth+1) for valuation-1 step weights.  E_j is
     evaluated only through z^(order - v), v the valuation of its prefix.
     """
     _check_levels(levels, depth)

@@ -42,6 +42,7 @@ __all__ = [
     "default_depth",
     "gf",
     "horizontal_weight",
+    "least_depth",
     "sequence",
     "verify_methods",
 ]
@@ -69,12 +70,13 @@ def _level(k: int, order: int) -> contfrac.CFLevel:
 
 
 def default_depth(family: str, order: int, method: str) -> int:
-    """Truncation depth that keeps the result exact through `order`.
+    """A truncation depth that keeps the result exact through `order`.
 
-    The CF evaluators are relative to each base level, so ceil(order/2)+1
-    levels always suffice.  The automaton truncates the chain absolutely;
-    with every state final the all-up walk escapes a depth-s chain after s
-    steps, so the meander families need depth = order there.
+    It is sufficient, not the least (see `least_depth`): the CF evaluators
+    are relative to each base level, so ceil(order/2)+1 levels always
+    suffice.  The automaton truncates the chain absolutely; with every state
+    final the all-up walk escapes a depth-s chain after s steps, so the
+    meander families need depth = order there.
     """
     check_family(family)
     check_size("order", order)
@@ -83,6 +85,22 @@ def default_depth(family: str, order: int, method: str) -> int:
     if method == "automaton" and CONSTRAINTS[family][1] is False:
         return order
     return half
+
+
+def least_depth(family: str, order: int, method: str) -> int:
+    """The least truncation depth that keeps the result exact through `order`.
+
+    A depth-s truncation is exact through z^(2s+1), so order // 2 levels
+    suffice, except for the automaton of the meander families: its chains
+    have every state final and are exact only through z^s, so it needs
+    depth = order.  One depth less gives a wrong count at z^order.
+    """
+    check_family(family)
+    check_size("order", order)
+    check_method(method)
+    if method == "automaton" and CONSTRAINTS[family][1] is False:
+        return order
+    return order // 2
 
 
 def gf(family: str, k: int, order: int | None = None, method: str = "closed",
@@ -272,8 +290,9 @@ def verify_methods(family: str, k: int, n_max: int, brute_max: int = 10,
                    depth: int | None = None) -> list[tuple]:
     """Cross-check every applicable method against the closed form.
 
-    Returns mismatch tuples (family, k, n, method_a, method_b, value_a,
-    value_b); empty means full agreement.  A brute-force window past
+    Returns one mismatch tuple (family, k, n, method_a, method_b, value_a,
+    value_b) for every n at which a method differs, by method and then by
+    n; empty means full agreement.  A brute-force window past
     COUNT_BUDGET is refused before anything is counted.
     """
     check_family(family)
@@ -290,10 +309,8 @@ def verify_methods(family: str, k: int, n_max: int, brute_max: int = 10,
                 mismatches.append(
                     (family, k, n, "closed", method, reference[n], got[n])
                 )
-                break
     for n in range(top + 1):
         got_n = brute.count_paths(family, k, n, memo=True)
         if got_n != reference[n]:
             mismatches.append((family, k, n, "closed", "brute", reference[n], got_n))
-            break
     return mismatches

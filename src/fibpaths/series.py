@@ -186,7 +186,15 @@ class Series:
 
     def __truediv__(self, other):
         """Exact quotient.  For series operands the divisor's valuation v is
-        cancelled first, so the result has order min(order_a, order_b) - v."""
+        cancelled first, so the result has order min(order_a, order_b) - v.
+
+        When the divisor's leading coefficient is 1 or -1 and both operands
+        are integer series, the quotient is an integer series too, and the
+        kernels compute it on the numerators as ints; the result is
+        converted to Fractions once.  Every other quotient, and every
+        product, runs on the stored Fractions until Series stores integers
+        (ROADMAP item 2, which waits for item 1).
+        """
         if not isinstance(other, Series):
             s = _as_fraction(other)
             if s is None:
@@ -207,6 +215,13 @@ class Series:
             raise OrderExceeded("no quotient coefficients remain after cancelling z^%d" % v)
         num = self._coeffs[v : v + m]
         den = other._coeffs[v : v + m]
+        if (
+            (den[0] == 1 or den[0] == -1)
+            and all(c.denominator == 1 for c in den)
+            and all(c.denominator == 1 for c in num)
+        ):
+            num = [c.numerator for c in num]
+            den = [c.numerator for c in den]
         return Series(kernels.mul(num, kernels.inv(den, m), m))
 
     def sqrt(self) -> "Series":
@@ -232,6 +247,13 @@ class Series:
         if len(self._coeffs) > 8:
             head += ", ..."
         return "Series([%s], order=%d)" % (head, self.order)
+
+
+def _pad(s: Series, order: int) -> Series:
+    """`s` extended by zero coefficients through z^order."""
+    if s.order >= order:
+        return s
+    return Series(s.coefficients() + (0,) * (order - s.order))
 
 
 def poly(coeffs, order: int | None = None) -> Series:

@@ -53,7 +53,7 @@ def inv_reference(a, m):
     """The reciprocal kernel's recurrence on Fractions for every input:
     b_0 = 1/a_0 and b_n = -(sum_{i=1..n} a_i b_{n-i}) / a_0."""
     la = len(a)
-    inv0 = 1 / a[0]
+    inv0 = Fraction(1) / a[0]
     b = [inv0]
     for n in range(1, m):
         acc = Fraction(0)
@@ -154,7 +154,7 @@ def solve_reference(auto, order):
         cur = rows[src].get(dst)
         rows[src][dst] = (cur - w) if cur is not None else -w
     rhs = [one(order) if q in auto.finals else zero(order) for q in range(n)]
-    return solve_linear_system(rows, rhs, order)[auto.initial]
+    return solve_linear_system(rows, rhs)[auto.initial]
 
 
 def coeff_grand_reference(k, t):

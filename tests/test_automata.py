@@ -171,7 +171,7 @@ def test_solve_linear_system_singular():
     rows = [{0: z, 1: z}, {0: z, 1: z}]
     rhs = [one(6), zero(6)]
     with pytest.raises(SingularSystem):
-        solve_linear_system(rows, rhs, 6)
+        solve_linear_system(rows, rhs)
 
 
 def test_solve_linear_system_valuation_pivot():
@@ -179,8 +179,33 @@ def test_solve_linear_system_valuation_pivot():
     z = poly([0, 1], 6)
     rows = [{0: z, 1: one(6)}, {0: one(6), 1: z}]
     rhs = [one(6), zero(6)]
-    xs = solve_linear_system(rows, rhs, 6)
+    xs = solve_linear_system(rows, rhs)
     # solution of [z, 1; 1, z] x = [1, 0]: x0 = -z/(1-z^2), x1 = 1/(1-z^2)
     denom = poly([1, 0, -1], 6)
     assert xs[0] == (0 - z) / denom
     assert xs[1] == one(6) / denom
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_solve_linear_system_gives_each_x_at_its_rhs_order(reverse):
+    # x0 = 1 + z x1, x1 = z x0 + z x2, x2 = z x1, with rows carried through
+    # z^6, z^5 and z^4: x0 = (1 - z^2)/(1 - 2z^2), x1 = z/(1 - 2z^2) and
+    # x2 = z^2/(1 - 2z^2).  Reversed, elimination meets a pivot of lower
+    # order than the row below it and pads it.
+    orders = [6, 5, 4]
+    edges = [(0, 1), (1, 0), (1, 2), (2, 1)]
+    at = (lambda q: 2 - q) if reverse else (lambda q: q)
+    rows = [None] * 3
+    for q, r in enumerate(orders):
+        rows[at(q)] = {at(q): one(r)}
+    for src, dst in edges:
+        rows[at(src)][at(dst)] = -poly([0, 1], orders[src])
+    rhs = [None] * 3
+    for q, r in enumerate(orders):
+        rhs[at(q)] = one(r) if q == 0 else zero(r)
+    xs = solve_linear_system(rows, rhs)
+    den = poly([1, 0, -2], 6)
+    expected = [poly([1, 0, -1], 6) / den, poly([0, 1], 6) / den, poly([0, 0, 1], 6) / den]
+    for q, r in enumerate(orders):
+        assert xs[at(q)].order == r
+        assert xs[at(q)] == expected[q].truncate(r)

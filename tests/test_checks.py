@@ -12,6 +12,7 @@ from fibpaths.families import (
     default_depth,
     gf,
     horizontal_weight,
+    least_depth,
     sequence,
     verify_methods,
 )
@@ -33,6 +34,7 @@ ENTRY_POINTS = [
     (list_paths, dict(family="fib", k=2, n=4)),
     (horizontal_weight, dict(k=2, order=4)),
     (default_depth, dict(family="fib", order=4, method="automaton")),
+    (least_depth, dict(family="fib", order=4, method="automaton")),
 ]
 CHECKED = ("k", "order", "depth", "n_max", "brute_max", "n", "r", "t")
 BAD = [True, 2.0, "3", -1]
@@ -62,6 +64,8 @@ def test_bad_k_or_size_raises_value_error_naming_it(fn, good, arg, bad):
         (default_depth, ("fib", 5, "bogus")),
         (gf, ("nope", 2, 4)),
         (gf, ("fib", 2, 4, "bogus")),
+        (least_depth, ("nope", 5, "automaton")),
+        (least_depth, ("fib", 5, "bogus")),
     ],
 )
 def test_unknown_family_or_method_raises_value_error_naming_it(fn, args):

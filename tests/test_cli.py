@@ -114,6 +114,29 @@ def test_seq_at_the_least_depth_prints_the_closed_counts(capsys, family, method)
     assert (code, out, err) == (0, closed, "")
 
 
+@pytest.mark.parametrize("method", ["cf", "automaton"])
+@pytest.mark.parametrize("family", families.FAMILIES)
+def test_seq_refuses_only_depths_below_the_least_exact_one(capsys, family, method):
+    # the least exact depth is n // 2, or n for the all-final automaton
+    # chains of the meander families
+    for k in (1, 2, 3):
+        for n in range(17):
+            least = families.least_depth(family, n, method)
+            assert least == (n if method == "automaton" and "prefix" in family else n // 2)
+            base = ("seq", "--family", family, "--k", str(k), "--n", str(n))
+            _, closed, _ = run(capsys, *base)
+            code, out, err = run(capsys, *base, "--method", method, "--depth", str(least))
+            assert (code, out, err) == (0, closed, ""), (k, n)
+            if least == 0:
+                continue
+            shallow = families.gf(family, k, n, method, depth=least - 1)
+            assert shallow != families.gf(family, k, n), (k, n)
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*base, "--method", method, "--depth", str(least - 1)])
+            assert exc.value.code == 2
+            assert "--depth %d is below %d" % (least - 1, least) in capsys.readouterr().err
+
+
 def test_seq_formula_unavailable_exits_3(capsys):
     code, out, err = run(
         capsys, "seq", "--family", "grand-prefix", "--k", "2", "--n", "5",
@@ -216,6 +239,28 @@ def test_verify_forced_mismatch_exits_1(capsys):
     lines = out.splitlines()
     assert lines[-1] == "verify: FAIL"
     assert any(line.startswith("fib k=2 n=") and "closed=" in line for line in lines)
+
+
+def test_verify_lists_every_mismatching_n(capsys):
+    # depth 1 is exact through z^3, so cf and automaton are wrong at every
+    # n from 4 on; each of those n gets its own line
+    code, out, _ = run(
+        capsys, "verify", "--family", "fib", "--k", "2",
+        "--n-max", "12", "--brute-max", "0", "--depth", "1",
+    )
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1] == "verify: FAIL"
+    reference = families.sequence("fib", 2, 12).counts
+    wrong = {
+        method: families.sequence("fib", 2, 12, method, depth=1).counts
+        for method in ("cf", "automaton")
+    }
+    assert lines[:-1] == [
+        "fib k=2 n=%d: closed=%d %s=%d" % (n, reference[n], method, wrong[method][n])
+        for method in ("cf", "automaton")
+        for n in range(4, 13)
+    ]
 
 
 def test_verify_all_families_small(capsys):

@@ -28,9 +28,9 @@ def cauchy(a, b, m):
             for n in range(m)]
 
 
-def assert_fractions(out, m):
+def assert_coeffs(out, m, kind=Fraction):
     assert len(out) == m
-    assert all(isinstance(c, Fraction) for c in out)
+    assert all(type(c) is kind for c in out)
 
 
 def test_kernels_on_random_inputs():
@@ -40,15 +40,15 @@ def test_kernels_on_random_inputs():
         a = random_coeffs(rng, m, integral=trial % 3 == 0)
         b = random_coeffs(rng, m)
         out = _kernels_py.mul(a, b, m)
-        assert_fractions(out, m)
+        assert_coeffs(out, m)
         assert out == cauchy(a, b, m)
         if a[0]:
             out = _kernels_py.inv(a, m)
-            assert_fractions(out, m)
+            assert_coeffs(out, m)
             assert out == long_division([1], a, m)
         a[0] = Fraction(1)
         root = _kernels_py.sqrt(a, m)
-        assert_fractions(root, m)
+        assert_coeffs(root, m)
         assert root[0] == 1
         assert _kernels_py.mul(root, root, m) == a
 
@@ -60,18 +60,19 @@ def test_mul_on_mixed_lengths():
         b = random_coeffs(rng, rng.randrange(1, 12))
         m = rng.randrange(1, 16)
         out = _kernels_py.mul(a, b, m)
-        assert_fractions(out, m)
+        assert_coeffs(out, m)
         assert out == cauchy(a, b, m)
     # m larger than both operands: the tail past len(a) + len(b) - 1 is zero
     out = _kernels_py.mul([Fraction(1), Fraction(2)], [Fraction(3)], 4)
-    assert_fractions(out, 4)
+    assert_coeffs(out, 4)
     assert out == [Fraction(3), Fraction(6), Fraction(0), Fraction(0)]
 
 
-def check_inv(a, m):
-    """inv(a, m) against the Fraction recurrence and long division."""
+def check_inv(a, m, kind=Fraction):
+    """inv(a, m) against the Fraction recurrence and long division; every
+    output coefficient is of type `kind`."""
     out = _kernels_py.inv(a, m)
-    assert_fractions(out, m)
+    assert_coeffs(out, m, kind)
     assert out == inv_reference(a, m)
     assert out == long_division([1], a, m)
     return out
@@ -129,18 +130,18 @@ def test_inv_runs_on_ints_exactly_for_unit_integer_series(monkeypatch):
         return real(a, inv0, m)
 
     monkeypatch.setattr(_kernels_py, "_reciprocal", recording)
-    for a, m, on_ints in [
-        (fracs([1, 2, 3]), 6, True),
-        (fracs([-1, 0, 5]), 6, True),
-        ([1, -3], 4, True),
-        (fracs([1, 2, Fraction(1, 3)]), 2, True),  # the rational is past z^(m-1)
-        (fracs([1, 2, Fraction(1, 3)]), 3, False),
-        (fracs([2, 1]), 4, False),
-        (fracs([-2, 1]), 4, False),
-        (fracs([Fraction(1, 2), 1]), 4, False),
+    for a, m, on_ints, kind in [
+        (fracs([1, 2, 3]), 6, True, Fraction),
+        (fracs([-1, 0, 5]), 6, True, Fraction),
+        ([1, -3], 4, True, int),  # an int list gets ints back
+        (fracs([1, 2, Fraction(1, 3)]), 2, True, Fraction),  # the rational is past z^(m-1)
+        (fracs([1, 2, Fraction(1, 3)]), 3, False, Fraction),
+        (fracs([2, 1]), 4, False, Fraction),
+        (fracs([-2, 1]), 4, False, Fraction),
+        (fracs([Fraction(1, 2), 1]), 4, False, Fraction),
     ]:
         taken.clear()
-        check_inv(a, m)
+        check_inv(a, m, kind)
         assert bool(taken) is on_ints, (a, m)
         if taken:
             assert all(type(c) is int for c in taken[0])
@@ -168,3 +169,41 @@ def test_series_calls_the_bound_kernels(monkeypatch):
     a.sqrt()
     assert calls[4:] == ["sqrt"]
     assert fibpaths.BACKEND == "pure"
+
+
+def test_kernels_keep_int_input_on_ints():
+    rng = random.Random(20261019)
+    for _ in range(200):
+        la, lb, m = rng.randrange(1, 12), rng.randrange(1, 12), rng.randrange(1, 16)
+        a = [rng.randrange(-9, 10) for _ in range(la)]
+        b = [rng.randrange(-9, 10) for _ in range(lb)]
+        out = _kernels_py.mul(a, b, m)
+        assert_coeffs(out, m, int)
+        assert out == cauchy(a, b, m)
+        a[0] = rng.choice([1, -1])
+        check_inv(a, m, int)
+    # entries no product reaches are int zeros too
+    out = _kernels_py.mul([0, 0], [5], 3)
+    assert_coeffs(out, 3, int)
+    assert out == [0, 0, 0]
+
+
+@pytest.mark.parametrize("a0", [2, -2])
+def test_inv_of_an_int_list_whose_constant_term_is_no_unit(a0):
+    rng = random.Random(13)
+    for la, m in SHAPES:
+        for _ in range(20):
+            check_inv([a0] + [rng.randrange(-9, 10) for _ in range(la - 1)], m)
+    assert check_inv([a0, 1], 4)[0] == Fraction(1, a0)
+
+
+def test_mul_of_ints_by_fractions_gives_fractions():
+    rng = random.Random(17)
+    for _ in range(50):
+        m = rng.randrange(1, 10)
+        a = [rng.randrange(-9, 10) for _ in range(rng.randrange(1, 10))]
+        b = random_coeffs(rng, rng.randrange(1, 10))
+        for x, y in ((a, b), (b, a)):
+            out = _kernels_py.mul(x, y, m)
+            assert_coeffs(out, m)
+            assert out == cauchy(x, y, m)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fibpaths import _backend
 from fibpaths.series import (
     BadConstantTerm,
     DivisionByZeroSeries,
@@ -151,6 +152,59 @@ def test_div_matches_long_division():
     assert got.order == 7
     # one factor of z cancels; long-divide what remains
     assert got.coefficients() == tuple(long_division([0, 2, -1], [1, 1], 8))
+
+
+# (numerator, divisor, order): the quotient runs on ints exactly when the
+# divisor, its valuation cancelled, starts with 1 or -1 and both slices the
+# kernels see are integral
+QUOTIENTS = [
+    ([3, -1, 4, 1, -5], [1, -2, -1], 9, True),
+    ([2, 7], [-1, 3, 0, 5], 9, True),
+    ([0, 0, 5, -2], [0, 1, 4], 8, True),
+    ([0, 1, Fraction(1, 3)], [0, -1, 2], 8, False),  # rational numerator
+    ([1, 2, 3], [1, Fraction(1, 2)], 8, False),  # rational divisor
+    ([1, 2, 3], [2, 1], 8, False),  # constant term 2
+    ([1, 2, 3], [-2, 1], 8, False),
+    ([0, 1], [0, 2, 1], 8, False),  # leading coefficient 2 after cancelling z
+]
+
+
+@pytest.mark.parametrize("num, den, order, on_ints", QUOTIENTS)
+def test_division_hands_the_kernels_ints_exactly_for_a_unit_integer_divisor(
+    monkeypatch, num, den, order, on_ints
+):
+    seen = []
+    for name in ("mul", "inv"):
+        real = getattr(_backend.kernels, name)
+
+        def recording(*args, _real=real):
+            seen.extend(type(c) for arg in args[:-1] for c in arg)
+            return _real(*args)
+
+        monkeypatch.setattr(_backend.kernels, name, recording)
+    got = poly(num, order) / poly(den, order)
+    assert seen
+    assert set(seen) == ({int} if on_ints else {Fraction})
+    v = next(i for i, c in enumerate(den) if c)
+    assert got.order == order - v
+    assert got.coefficients() == tuple(long_division(num[v:], den[v:], order - v + 1))
+    assert all(type(c) is Fraction for c in got.coefficients())
+
+
+def test_division_ignores_coefficients_past_the_quotient(monkeypatch):
+    # the numerator's rational z^8 lies past the order-5 divisor, so the
+    # kernels never see it and the quotient still runs on ints
+    seen = []
+    real = _backend.kernels.mul
+
+    def recording(a, b, m):
+        seen.extend(type(c) for c in a + b)
+        return real(a, b, m)
+
+    monkeypatch.setattr(_backend.kernels, "mul", recording)
+    got = Series([1, 2, 0, 0, 0, 0, 0, 0, Fraction(1, 2)]) / poly([1, -1], 5)
+    assert set(seen) == {int}
+    assert ints(got) == [1, 3, 3, 3, 3, 3]
 
 
 def test_div_errors():
