@@ -65,7 +65,7 @@ def inv(a, m):
 def _reciprocal(a, inv0, m):
     """The recurrence of inv, in the number type of a and inv0 = 1/a_0."""
     la = len(a)
-    b = [inv0]
+    b = [inv0] if m > 0 else []
     for n in range(1, m):
         acc = 0
         for i in range(1, min(n, la - 1) + 1):
@@ -84,7 +84,7 @@ def sqrt(a, m):
     """
     la = len(a)
     half = Fraction(1, 2)
-    b = [Fraction(1)]
+    b = [Fraction(1)] if m > 0 else []
     for n in range(1, m):
         acc = a[n] if n < la else _ZERO
         for i in range(1, (n - 1) // 2 + 1):

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .series import (
     DivisionByZeroSeries,
@@ -67,18 +67,17 @@ class SingularSystem(ArithmeticError):
     """No pivot of finite valuation with invertible leading behavior."""
 
 
-@dataclass(frozen=True)
-class WeightedAutomaton:
+class WeightedAutomaton(
+    namedtuple("WeightedAutomaton", "n_states initial finals transitions")
+):
     """States 0..n_states-1; transitions are (src, dst, weight) triples."""
 
-    n_states: int
-    initial: int
-    finals: frozenset
-    transitions: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "finals", frozenset(self.finals))
-        object.__setattr__(self, "transitions", tuple(self.transitions))
+    def __new__(cls, n_states, initial, finals, transitions):
+        return super().__new__(
+            cls, n_states, initial, frozenset(finals), tuple(transitions)
+        )
 
 
 def validate(auto: WeightedAutomaton) -> list[str]:
@@ -239,18 +238,15 @@ def solve(auto: WeightedAutomaton, order: int) -> Series:
     return xs[auto.initial]
 
 
-@dataclass(frozen=True)
-class ChainSpec:
-    """Chain description: `levels[i]` supplies the weights at level i (and,
-    for bilinear chains, the primed weights of level -i)."""
+class ChainSpec(namedtuple("ChainSpec", "kind depth levels all_final")):
+    """Chain description: `kind` is "linear" or "bilinear", and `levels[i]`
+    supplies the weights at level i (and, for bilinear chains, the primed
+    weights of level -i)."""
 
-    kind: str  # "linear" | "bilinear"
-    depth: int
-    levels: tuple
-    all_final: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(self.levels))
+    def __new__(cls, kind, depth, levels, all_final=False):
+        return super().__new__(cls, kind, depth, tuple(levels), all_final)
 
 
 def build_chain(spec: ChainSpec) -> WeightedAutomaton:

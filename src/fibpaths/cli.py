@@ -13,7 +13,6 @@ decimal strings since they outgrow doubles quickly.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import brute, families, tables
@@ -87,6 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_seq(args) -> int:
     report = families.sequence(args.family, args.k, args.n, args.method, args.depth)
     if args.format == "json":
+        import json
         print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     elif args.format == "csv":
         if args.header:
@@ -108,6 +108,7 @@ def cmd_tables(args) -> int:
             ok = ok and row_ok
             results.append((family, k, row_ok, cells))
     if args.as_json:
+        import json
         payload = {
             "ok": ok,
             "tables": [

@@ -28,7 +28,7 @@ reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .series import Series, _pad, one
 
@@ -46,17 +46,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CFLevel:
-    """Weights at one chain level; primed entries are the mirror weights of
-    two-sided chains (None for one-sided use)."""
+class CFLevel(namedtuple("CFLevel", "f g h fp gp hp", defaults=(None,) * 3)):
+    """Weights at one chain level, each a Series; primed entries are the
+    mirror weights of two-sided chains (None for one-sided use)."""
 
-    f: Series
-    g: Series
-    h: Series
-    fp: Series | None = None
-    gp: Series | None = None
-    hp: Series | None = None
+    __slots__ = ()
 
 
 def constant_levels(f, g, h, count, fp=None, gp=None, hp=None):

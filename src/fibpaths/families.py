@@ -22,7 +22,7 @@ them against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import automata, brute, contfrac
 from ._checks import METHODS, check_family, check_k, check_method, check_size
@@ -242,17 +242,13 @@ FORMULAS = {"fib": coeff_fib, "grand": coeff_grand, "prefix": coeff_prefix}
 # -- reports ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathCountReport:
+class PathCountReport(namedtuple("PathCountReport", "family k method counts")):
     """Counts of one family for n = 0..n_max by one method."""
 
-    family: str
-    k: int
-    method: str
-    counts: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(self.counts))
+    def __new__(cls, family, k, method, counts):
+        return super().__new__(cls, family, k, method, tuple(counts))
 
     @property
     def n_max(self) -> int:

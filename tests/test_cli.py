@@ -1,6 +1,10 @@
 """CLI subcommands, output formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,27 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# -- start-up ------------------------------------------------------------------
+
+
+def test_import_loads_no_dataclasses_inspect_or_json():
+    # modules that site loads are already in sys.modules and do not count
+    probe = (
+        "import sys; before = set(sys.modules); import fibpaths.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    added = set(out.split())
+    assert "fibpaths.cli" in added
+    assert not added & {"dataclasses", "inspect", "json"}
 
 
 # -- seq -----------------------------------------------------------------------
@@ -106,7 +131,7 @@ def test_seq_usage_errors_exit_2(capsys):
 
 @pytest.mark.parametrize("method", ["cf", "automaton"])
 @pytest.mark.parametrize("family", families.FAMILIES)
-def test_seq_at_the_least_depth_prints_the_closed_counts(capsys, family, method):
+def test_seq_at_the_default_depth_prints_the_closed_counts(capsys, family, method):
     base = ("seq", "--family", family, "--k", "2", "--n", "9")
     depth = families.default_depth(family, 9, method)
     _, closed, _ = run(capsys, *base)

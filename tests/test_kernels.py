@@ -207,3 +207,13 @@ def test_mul_of_ints_by_fractions_gives_fractions():
             out = _kernels_py.mul(x, y, m)
             assert_coeffs(out, m)
             assert out == cauchy(x, y, m)
+
+
+@pytest.mark.parametrize("kind", [int, Fraction])
+def test_kernels_return_no_coefficient_for_m_0(kind):
+    for a0 in (1, -1, 2):
+        a = [kind(a0), kind(2), kind(-3)]
+        assert _kernels_py.mul(a, a, 0) == []
+        assert _kernels_py.inv(a, 0) == []
+        assert _kernels_py.inv(a[:1], 0) == []
+    assert _kernels_py.sqrt([kind(1), kind(2)], 0) == []
