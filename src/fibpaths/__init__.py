@@ -4,7 +4,7 @@ Four families of lattice paths with unit up/down steps and horizontal runs
 of length l weighted by the k-Fibonacci number F_{k,l} are counted by five
 independent methods (closed generating functions, continued fractions,
 truncated weighted automata, coefficient-sum formulas, brute-force path
-enumeration) that cross-verify each other exactly.
+counting) that cross-verify each other exactly.
 """
 
 from ._backend import BACKEND

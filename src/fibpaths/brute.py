@@ -1,4 +1,4 @@
-"""Brute-force enumeration of colored Motzkin-like paths.
+"""Brute-force counts of colored Motzkin-like paths.
 
 A path is a sequence of steps U=(1,1), D=(1,-1) and horizontal runs
 H(l)=(l,0) with l >= 1; a run of length l carries weight F_{k,l} (its
@@ -10,8 +10,8 @@ step sequences.  The four families constrain level sign and endpoint:
     prefix        never below 0
     grand-prefix  unconstrained
 
-This module is the ground-truth oracle: it knows nothing about series,
-continued fractions or automata.
+This module is the ground-truth oracle, adding up or listing actual paths:
+it knows nothing about series, continued fractions or automata.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
     "check_budget",
     "count_paths",
     "list_paths",
+    "path_counts",
 ]
 
 # family -> (must stay nonnegative, must end at level 0)
@@ -38,12 +39,12 @@ CONSTRAINTS = {
     "grand-prefix": (False, False),
 }
 
-COUNT_BUDGET = 14
+COUNT_BUDGET = 1000
 LIST_BUDGET = 6
 
 
 class BudgetExceeded(ValueError):
-    """Path length beyond what exhaustive enumeration is allowed to do."""
+    """Path length beyond what brute-force counting is allowed to do."""
 
 
 def check_budget(name: str, n: int, budget: int = COUNT_BUDGET) -> None:
@@ -54,36 +55,34 @@ def check_budget(name: str, n: int, budget: int = COUNT_BUDGET) -> None:
         )
 
 
-def count_paths(family: str, k: int, n: int, memo: bool = False) -> int:
-    """Total weight of family paths of length exactly n.
+def path_counts(family: str, k: int, n_max: int) -> list[int]:
+    """Total weight of family paths of each length 0..n_max, by one forward
+    pass; n_max > COUNT_BUDGET raises BudgetExceeded.
 
-    Plain recursion over the next step; memo=True caches on (remaining,
-    level), advisable for n > 10; n > COUNT_BUDGET raises BudgetExceeded.
+    a_t(y) weighs the prefixes of length t ending at height y, r_t(y) those
+    ending in a run.  As F_{k,l} = k F_{k,l-1} + F_{k,l-2}, a run is a
+    two-state automaton: r_t = a_{t-1} + k r_{t-1} + r_{t-2}, and a_t(y) is
+    r_t(y) + a_{t-1}(y-1) + a_{t-1}(y+1).
     """
     check_family(family)
     check_k(k)
-    check_budget("n", n)
+    check_budget("n_max", n_max)
     nonneg, end_zero = CONSTRAINTS[family]
-    weights = [kfib(k, l) for l in range(n + 1)]
-    cache: dict = {}
+    axis = 0 if nonneg else n_max  # index of height 0; heights reach n_max
+    a = [0] * axis + [1] + [0] * n_max
+    r = r_prev = [0] * len(a)
+    counts = [1]
+    for _ in range(n_max):
+        r, r_prev = [x + k * y + z for x, y, z in zip(a, r, r_prev)], r
+        a = [x + u + d for x, u, d in zip(r, [0] + a[:-1], a[1:] + [0])]
+        counts.append(a[axis] if end_zero else sum(a))
+    return counts
 
-    def walk(rem: int, y: int) -> int:
-        if rem == 0:
-            return 1 if (y == 0 or not end_zero) else 0
-        if memo:
-            got = cache.get((rem, y))
-            if got is not None:
-                return got
-        total = walk(rem - 1, y + 1)
-        if y > 0 or not nonneg:
-            total += walk(rem - 1, y - 1)
-        for l in range(1, rem + 1):
-            total += weights[l] * walk(rem - l, y)
-        if memo:
-            cache[rem, y] = total
-        return total
 
-    return walk(n, 0)
+def count_paths(family: str, k: int, n: int) -> int:
+    """Total weight of family paths of length exactly n (see path_counts)."""
+    check_budget("n", n)
+    return path_counts(family, k, n)[-1]
 
 
 def list_paths(family: str, k: int, n: int):

@@ -84,6 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_seq(args) -> int:
+    if args.method == "brute":
+        brute.check_budget("--n", args.n)
     report = families.sequence(args.family, args.k, args.n, args.method, args.depth)
     if args.format == "json":
         import json

@@ -14,7 +14,7 @@ Methods:
     cf         depth-truncated continued fractions / meander sums
     automaton  linear solve of the depth-truncated chain automaton
     formula    coefficient sums over convolved k-Fibonacci numbers
-    brute      exhaustive path enumeration (budgeted)
+    brute      weights of the actual paths, summed step by step (budgeted)
 
 All five agree exactly wherever they are defined; `verify_methods` plays
 them against each other.
@@ -107,13 +107,16 @@ def gf(family: str, k: int, order: int | None = None, method: str = "closed",
        depth: int | None = None) -> Series:
     """Generating function of the family, exact through `order`
     (default: series.DEFAULT_ORDER).  `depth` overrides the truncation
-    depth of the cf and automaton methods."""
+    depth of the cf and automaton methods; other methods refuse it."""
     check_family(family)
     check_method(method)
     check_k(k)
     n = DEFAULT_ORDER if order is None else check_size("order", order)
     if depth is not None:
         check_size("depth", depth)
+        if method not in ("cf", "automaton"):
+            raise ValueError("depth applies only to the cf and automaton methods, "
+                             "not %s" % method)
     if method == "closed":
         out = _closed(family, k, n)
     elif method == "cf":
@@ -129,7 +132,7 @@ def gf(family: str, k: int, order: int | None = None, method: str = "closed",
         out = Series([FORMULAS[family](k, t) for t in range(n + 1)])
     else:
         brute.check_budget("order", n)
-        out = Series([brute.count_paths(family, k, t, memo=True) for t in range(n + 1)])
+        out = Series(brute.path_counts(family, k, n))
     if not out.is_integral():
         raise NonIntegralResult(
             "%s/%s GF for k=%d has non-integral coefficients" % (family, method, k)
@@ -288,8 +291,9 @@ def verify_methods(family: str, k: int, n_max: int, brute_max: int = 10,
 
     Returns one mismatch tuple (family, k, n, method_a, method_b, value_a,
     value_b) for every n at which a method differs, by method and then by
-    n; empty means full agreement.  A brute-force window past
-    COUNT_BUDGET is refused before anything is counted.
+    n; empty means full agreement.  `depth` truncates cf and automaton only.
+    A brute-force window past COUNT_BUDGET is refused before anything is
+    counted.
     """
     check_family(family)
     check_k(k)
@@ -299,14 +303,15 @@ def verify_methods(family: str, k: int, n_max: int, brute_max: int = 10,
     mismatches = []
     others = ["cf", "automaton"] + (["formula"] if family in FORMULAS else [])
     for method in others:
-        got = sequence(family, k, n_max, method, depth).counts
+        got = sequence(family, k, n_max, method,
+                       None if method == "formula" else depth).counts
         for n in range(n_max + 1):
             if got[n] != reference[n]:
                 mismatches.append(
                     (family, k, n, "closed", method, reference[n], got[n])
                 )
     for n in range(top + 1):
-        got_n = brute.count_paths(family, k, n, memo=True)
+        got_n = brute.count_paths(family, k, n)
         if got_n != reference[n]:
             mismatches.append((family, k, n, "closed", "brute", reference[n], got_n))
     return mismatches

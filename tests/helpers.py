@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from fibpaths.automata import solve_linear_system
+from fibpaths.brute import CONSTRAINTS
 from fibpaths.contfrac import _check_levels, _mirror
 from fibpaths.kfib import binom, convolved_binomial, kfib, multinom
 from fibpaths.series import Series, one, zero
@@ -45,8 +46,27 @@ def long_division(num, den, m):
 # Each is the full-precision code the package used before its fast path: the
 # reciprocal kernel runs on Fractions, the continued fractions evaluate every
 # level and every meander tail through the full order, the automaton solve
-# carries every state through the full order, and the formula sums add
-# Fractions.
+# carries every state through the full order, the formula sums add
+# Fractions, and the path count recurses over the next step.
+
+
+def count_paths_reference(family, k, n):
+    """Total weight of family paths of length n, by plain recursion over the
+    next step: U, D (where allowed) or a run H(l) of weight F_{k,l}."""
+    nonneg, end_zero = CONSTRAINTS[family]
+    weights = [kfib(k, l) for l in range(n + 1)]
+
+    def walk(rem, y):
+        if rem == 0:
+            return 1 if (y == 0 or not end_zero) else 0
+        total = walk(rem - 1, y + 1)
+        if y > 0 or not nonneg:
+            total += walk(rem - 1, y - 1)
+        for l in range(1, rem + 1):
+            total += weights[l] * walk(rem - l, y)
+        return total
+
+    return walk(n, 0)
 
 
 def inv_reference(a, m):

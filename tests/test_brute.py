@@ -3,10 +3,15 @@
 import pytest
 
 from fibpaths.brute import (
+    COUNT_BUDGET,
+    FAMILIES,
     BudgetExceeded,
     count_paths,
     list_paths,
+    path_counts,
 )
+
+from helpers import count_paths_reference
 
 
 def test_figure_counts():
@@ -28,22 +33,28 @@ def test_empty_path_counts_once_everywhere():
         assert count_paths(family, 3, 0) == 1
 
 
-def test_memo_agrees_with_plain():
-    for family in ("fib", "grand", "prefix", "grand-prefix"):
-        for n in range(8):
-            assert count_paths(family, 2, n) == count_paths(family, 2, n, memo=True)
+def test_path_counts_agree_with_the_plain_recursion():
+    for family in FAMILIES:
+        for k in range(1, 5):
+            want = [count_paths_reference(family, k, n) for n in range(11)]
+            assert path_counts(family, k, 10) == want, (family, k)
+            assert [count_paths(family, k, n) for n in range(11)] == want, (family, k)
 
 
-def test_memoized_reaches_the_budget():
+def test_count_paths_reaches_the_budget():
     # 1845913 = closed-form count, cross-checked in the families tests
-    assert count_paths("fib", 1, 14, memo=True) == 1845913
+    assert count_paths("fib", 1, 14) == 1845913
+    counts = path_counts("fib", 1, COUNT_BUDGET)
+    assert len(counts) == COUNT_BUDGET + 1 and counts[14] == 1845913
+    assert count_paths("fib", 1, COUNT_BUDGET) == counts[-1]
 
 
 def test_count_budget():
-    with pytest.raises(BudgetExceeded):
-        count_paths("fib", 1, 15)
-    with pytest.raises(BudgetExceeded):
-        count_paths("fib", 1, 15, memo=True)
+    assert COUNT_BUDGET == 1000
+    with pytest.raises(BudgetExceeded, match="n: length 1001 .* budget 1000"):
+        count_paths("fib", 1, 1001)
+    with pytest.raises(BudgetExceeded, match="n_max: length 1001 .* budget 1000"):
+        path_counts("fib", 1, 1001)
 
 
 def test_validation():

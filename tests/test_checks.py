@@ -4,7 +4,7 @@ and the names the perfbench tracer patches stay where it looks for them."""
 import pytest
 
 from fibpaths import brute, families
-from fibpaths.brute import BudgetExceeded, count_paths, list_paths
+from fibpaths.brute import BudgetExceeded, count_paths, list_paths, path_counts
 from fibpaths.families import (
     coeff_fib,
     coeff_grand,
@@ -31,6 +31,7 @@ ENTRY_POINTS = [
     (coeff_grand, dict(k=2, t=4)),
     (coeff_prefix, dict(k=2, t=4)),
     (count_paths, dict(family="fib", k=2, n=4)),
+    (path_counts, dict(family="fib", k=2, n_max=4)),
     (list_paths, dict(family="fib", k=2, n=4)),
     (horizontal_weight, dict(k=2, order=4)),
     (default_depth, dict(family="fib", order=4, method="automaton")),
@@ -78,11 +79,12 @@ def test_brute_windows_past_the_budget_are_refused_before_counting(monkeypatch):
         raise AssertionError("counted before checking the budget")
 
     monkeypatch.setattr(brute, "count_paths", no_counting)
-    with pytest.raises(BudgetExceeded, match="order: length 20 .* budget 14"):
-        gf("fib", 2, 20, "brute")
+    monkeypatch.setattr(brute, "path_counts", no_counting)
+    with pytest.raises(BudgetExceeded, match="order: length 1001 .* budget 1000"):
+        gf("fib", 2, 1001, "brute")
     monkeypatch.setattr(families, "gf", no_counting)
-    with pytest.raises(BudgetExceeded, match="brute_max: length 15 .* budget 14"):
-        verify_methods("fib", 2, 20, brute_max=15)
+    with pytest.raises(BudgetExceeded, match="brute_max: length 1001 .* budget 1000"):
+        verify_methods("fib", 2, 1001, brute_max=1001)
 
 
 def test_what_the_tracer_patches_is_still_there(monkeypatch):

@@ -174,12 +174,12 @@ def test_seq_formula_unavailable_exits_3(capsys):
 
 def test_seq_brute_budget_exits_2(capsys):
     code, out, err = run(
-        capsys, "seq", "--family", "fib", "--k", "1", "--n", "15",
+        capsys, "seq", "--family", "fib", "--k", "1", "--n", "1001",
         "--method", "brute",
     )
     assert code == 2
     assert out == ""
-    assert "budget" in err
+    assert err == "error: --n: length 1001 exceeds the enumeration budget 1000\n"
 
 
 def test_verify_brute_max_over_budget_exits_2_before_counting(capsys, monkeypatch):
@@ -188,11 +188,11 @@ def test_verify_brute_max_over_budget_exits_2_before_counting(capsys, monkeypatc
 
     monkeypatch.setattr(cli.families, "verify_methods", no_counting)
     code, out, err = run(
-        capsys, "verify", "--k", "1", "--n-max", "20", "--brute-max", "20"
+        capsys, "verify", "--k", "1", "--n-max", "1001", "--brute-max", "1001"
     )
     assert code == 2
     assert out == ""
-    assert "--brute-max" in err and "budget 14" in err
+    assert "--brute-max" in err and "budget 1000" in err
 
 
 # -- tables ----------------------------------------------------------------------

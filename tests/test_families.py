@@ -61,9 +61,26 @@ def test_gf_validation():
         gf("fib", 1, 5, "magic")
 
 
+@pytest.mark.parametrize("method", ["closed", "formula", "brute"])
+def test_gf_refuses_a_depth_for_a_method_without_one(method):
+    with pytest.raises(ValueError, match="^depth applies only to the cf and automaton"):
+        gf("fib", 2, 10, method, depth=0)
+
+
 def test_gf_formula_unavailable_for_grand_prefix():
     with pytest.raises(MethodUnavailable):
         gf("grand-prefix", 2, 5, "formula")
+
+
+@pytest.mark.parametrize("family", families.FAMILIES)
+def test_gf_brute_at_the_default_order(family):
+    got = gf(family, 3, method="brute")
+    assert (got.order, ints(got)) == (DEFAULT_ORDER, ints(gf(family, 3)))
+
+
+@pytest.mark.parametrize("family", families.FAMILIES)
+def test_path_counts_match_closed_at_n_300(family):
+    assert brute.path_counts(family, 2, 300) == ints(gf(family, 2, 300))
 
 
 def test_gf_default_order_ignores_the_environment(monkeypatch):
@@ -112,11 +129,7 @@ def test_all_methods_agree_small(family, k):
     for method in METHODS[1:]:
         if method == "formula" and family == "grand-prefix":
             continue
-        if method == "brute":
-            # the enumeration budget caps at n = 14, well above 12
-            assert ints(gf(family, k, 12, "brute")) == reference
-        else:
-            assert ints(gf(family, k, 12, method)) == reference
+        assert ints(gf(family, k, 12, method)) == reference
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -214,6 +227,19 @@ def test_verify_methods_reports_forced_mismatch():
         assert ints(gf("fib", 2, 10))[n] == ref
 
 
+def test_verify_methods_passes_depth_only_to_cf_and_automaton(monkeypatch):
+    calls = []
+    real_gf = families.gf
+
+    def recording_gf(family, k, order=None, method="closed", depth=None):
+        calls.append((method, depth))
+        return real_gf(family, k, order, method, depth)
+
+    monkeypatch.setattr(families, "gf", recording_gf)
+    assert verify_methods("fib", 2, 6, brute_max=2, depth=3) == []
+    assert calls == [("closed", None), ("cf", 3), ("automaton", 3), ("formula", None)]
+
+
 def test_verify_methods_brute_window():
     # brute_max caps the enumeration range, not the closed-form range
     assert verify_methods("grand-prefix", 1, 20, brute_max=5) == []
@@ -222,4 +248,4 @@ def test_verify_methods_brute_window():
 def test_sequence_matches_brute_counts():
     rep = sequence("prefix", 2, 8)
     for n in range(9):
-        assert rep.counts[n] == brute.count_paths("prefix", 2, n, memo=True)
+        assert rep.counts[n] == brute.count_paths("prefix", 2, n)
