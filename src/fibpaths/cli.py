@@ -4,10 +4,11 @@
     fibpaths tables  recompute the published tables and diff them
     fibpaths verify  cross-check all methods against each other
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 method
-unavailable for the family, 4 internal inconsistency (non-integral or
-singular results).  Output is deterministic; JSON carries counts as
-decimal strings since they outgrow doubles quickly.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error, 4 internal
+inconsistency (non-integral or singular results).  3, once "method
+unavailable for the family", is no longer produced: every method covers
+every family.  Output is deterministic; JSON carries counts as decimal
+strings since they outgrow doubles quickly.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ from . import brute, families, tables
 from ._checks import check_k, check_size
 from .automata import SingularSystem
 from .brute import BudgetExceeded
-from .families import FAMILIES, METHODS, MethodUnavailable, NonIntegralResult
+from .families import FAMILIES, METHODS, NonIntegralResult
 from .series import SeriesError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
-EXIT_UNAVAILABLE = 3
 EXIT_INTERNAL = 4
 
 
@@ -180,9 +180,6 @@ def main(argv=None) -> int:
                          % (args.depth, least, args.n))
     try:
         return args.func(args)
-    except MethodUnavailable as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_UNAVAILABLE
     except BudgetExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

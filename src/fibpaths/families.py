@@ -16,8 +16,8 @@ Methods:
     formula    coefficient sums over convolved k-Fibonacci numbers
     brute      weights of the actual paths, summed step by step (budgeted)
 
-All five agree exactly wherever they are defined; `verify_methods` plays
-them against each other.
+Every method is defined for every family, and all five agree exactly;
+`verify_methods` plays them against each other.
 """
 
 from __future__ import annotations
@@ -27,17 +27,17 @@ from collections import namedtuple
 from . import automata, brute, contfrac
 from ._checks import METHODS, check_family, check_k, check_method, check_size
 from .brute import CONSTRAINTS, FAMILIES
-from .kfib import binom, catalan, convolved_binomial, kfib
+from .kfib import binom, catalan, convolved_binomial
 from .series import DEFAULT_ORDER, Series, poly
 
 __all__ = [
     "FAMILIES",
     "METHODS",
-    "MethodUnavailable",
     "NonIntegralResult",
     "PathCountReport",
     "coeff_fib",
     "coeff_grand",
+    "coeff_grand_prefix",
     "coeff_prefix",
     "default_depth",
     "gf",
@@ -46,10 +46,6 @@ __all__ = [
     "sequence",
     "verify_methods",
 ]
-
-class MethodUnavailable(ValueError):
-    """Requested method has no published route for this family."""
-
 
 class NonIntegralResult(ArithmeticError):
     """A path count came out non-integral; the computation is inconsistent."""
@@ -124,11 +120,6 @@ def gf(family: str, k: int, order: int | None = None, method: str = "closed",
     elif method == "automaton":
         out = _automaton(family, k, n, depth)
     elif method == "formula":
-        if family not in FORMULAS:
-            raise MethodUnavailable(
-                "no coefficient-sum formula for the %s family; "
-                "use closed, cf, automaton or brute" % family
-            )
         out = Series([FORMULAS[family](k, t) for t in range(n + 1)])
     else:
         brute.check_budget("order", n)
@@ -181,39 +172,39 @@ def _automaton(family: str, k: int, order: int, depth: int | None) -> Series:
 # -- coefficient-sum formulas -------------------------------------------------
 
 
+def _runs_among(k: int, s: int, t: int) -> int:
+    """W(k, s, t) = sum_l C(s+l, l) F^(l)_{k, t-s-l+1}: l >= 0 horizontal
+    runs of total length t - s placed among s unit steps.  Each formula
+    below sums, over the skeleton length s, its unit-step factor times W."""
+    return sum(binom(s + l, l) * convolved_binomial(k, t - s - l, l)
+               for l in range(t - s + 1))
+
+
 def coeff_fib(k: int, t: int) -> int:
     """[z^t] of the fib family: sum over n returning pairs and m runs of
     C(m+2n, m) Catalan(n) F^(m)_{k, t-2n-m+1}."""
     check_k(k)
     check_size("t", t)
-    total = 0
-    for n in range(t // 2 + 1):
-        cn = catalan(n)
-        for m in range(t - 2 * n + 1):
-            c = convolved_binomial(k, t - 2 * n - m, m)
-            if c:
-                total += cn * binom(m + 2 * n, m) * c
-    return total
+    return sum(catalan(n) * _runs_among(k, 2 * n, t) for n in range(t // 2 + 1))
 
 
 def coeff_grand(k: int, t: int) -> int:
     """[z^t] of the grand family; t = 0 is 1 by convention (empty path).
     Each (n, m) term carries the integer 2^n n/(n+2m) C(n+2m, m)."""
     check_k(k)
-    if check_size("t", t) == 0:
-        return 1
-    total = kfib(k + 1, t)
-    for n in range(1, t // 2 + 1):
-        for m in range((t - 2 * n) // 2 + 1):
+    check_size("t", t)
+    total = _runs_among(k, 0, t)  # n = 0, runs alone: F_{k+1,t}, and 1 at t = 0
+    for j in range(1, t // 2 + 1):  # skeleton length s = 2n + 2m = 2j
+        factor = 0
+        for n in range(1, j + 1):
+            m = j - n
             base, r = divmod(2**n * n * binom(n + 2 * m, m), n + 2 * m)
             if r:
                 raise NonIntegralResult(
                     "grand factor k=%d t=%d n=%d m=%d is not an integer" % (k, t, n, m)
                 )
-            for l in range(t - 2 * n - 2 * m + 1):
-                c = convolved_binomial(k, t - 2 * n - 2 * m - l, l)
-                if c:
-                    total += base * binom(l + 2 * n + 2 * m, l) * c
+            factor += base
+        total += factor * _runs_among(k, 2 * j, t)
     return total
 
 
@@ -224,22 +215,33 @@ def coeff_prefix(k: int, t: int) -> int:
     check_k(k)
     check_size("t", t)
     total = 0
-    for n in range(t + 1):
-        for m in range((t - n) // 2 + 1):
+    for s in range(t + 1):  # skeleton length s = n + 2m
+        factor = 0
+        for m in range(s // 2 + 1):
+            n = s - 2 * m
             pref, r = divmod((n + 1) * binom(n + 2 * m, m), n + m + 1)
             if r:
                 raise NonIntegralResult(
                     "prefix factor k=%d t=%d n=%d m=%d is not an integer" % (k, t, n, m)
                 )
-            for l in range(t - n - 2 * m + 1):
-                c = convolved_binomial(k, t - n - 2 * m - l, l)
-                if c:
-                    total += pref * binom(n + 2 * m + l, l) * c
+            factor += pref
+        total += factor * _runs_among(k, s, t)
     return total
 
 
-# family -> its coefficient-sum formula (k, t) -> [z^t]; grand-prefix has none
-FORMULAS = {"fib": coeff_fib, "grand": coeff_grand, "prefix": coeff_prefix}
+def coeff_grand_prefix(k: int, t: int) -> int:
+    """[z^t] of the grand-prefix family, sum over s <= t of 2^s W(k, s, t):
+    its GF 1/(1 - 2z - h), with h = z/(1 - kz - z^2) the weight of one run,
+    is sum_{s,l} C(s+l, l) (2z)^s h^l by s unit steps and l runs, and
+    [z^(t-s)] h^l = [z^(t-s-l)] (1 - kz - z^2)^(-l) = F^(l)_{k, t-s-l+1}."""
+    check_k(k)
+    check_size("t", t)
+    return sum(2**s * _runs_among(k, s, t) for s in range(t + 1))
+
+
+# family -> its coefficient-sum formula (k, t) -> [z^t]
+FORMULAS = {"fib": coeff_fib, "grand": coeff_grand, "prefix": coeff_prefix,
+            "grand-prefix": coeff_grand_prefix}
 
 
 # -- reports ------------------------------------------------------------------
@@ -287,7 +289,7 @@ def sequence(family: str, k: int, n_max: int, method: str = "closed",
 
 def verify_methods(family: str, k: int, n_max: int, brute_max: int = 10,
                    depth: int | None = None) -> list[tuple]:
-    """Cross-check every applicable method against the closed form.
+    """Cross-check every method against the closed form.
 
     Returns one mismatch tuple (family, k, n, method_a, method_b, value_a,
     value_b) for every n at which a method differs, by method and then by
@@ -301,8 +303,7 @@ def verify_methods(family: str, k: int, n_max: int, brute_max: int = 10,
     brute.check_budget("brute_max", top)
     reference = sequence(family, k, n_max, "closed").counts
     mismatches = []
-    others = ["cf", "automaton"] + (["formula"] if family in FORMULAS else [])
-    for method in others:
+    for method in ("cf", "automaton", "formula"):
         got = sequence(family, k, n_max, method,
                        None if method == "formula" else depth).counts
         for n in range(n_max + 1):

@@ -8,9 +8,9 @@ of z first (the quotient must again be a power series, never a Laurent
 series) and therefore returns a series of order reduced by the divisor's
 valuation.
 
-Equality compares coefficientwise over the shared range, i.e. through
-min(order_a, order_b); two series that agree there are "equal as far as
-they are comparable".  Series are consequently unhashable.
+Equality compares the order and every coefficient: series of different
+orders are unequal even where their shared coefficients agree (compare
+`a.truncate(m) == b.truncate(m)` for that).  Series are unhashable.
 """
 
 from __future__ import annotations
@@ -237,8 +237,7 @@ class Series:
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        m = min(len(self._coeffs), len(other._coeffs))
-        return self._coeffs[:m] == other._coeffs[:m]
+        return self._coeffs == other._coeffs
 
     __hash__ = None
 

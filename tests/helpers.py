@@ -5,7 +5,7 @@ from fractions import Fraction
 from fibpaths.automata import solve_linear_system
 from fibpaths.brute import CONSTRAINTS
 from fibpaths.contfrac import _check_levels, _mirror
-from fibpaths.kfib import binom, convolved_binomial, kfib, multinom
+from fibpaths.kfib import binom, catalan, convolved_binomial, kfib, multinom
 from fibpaths.series import Series, one, zero
 
 
@@ -175,6 +175,17 @@ def solve_reference(auto, order):
         rows[src][dst] = (cur - w) if cur is not None else -w
     rhs = [one(order) if q in auto.finals else zero(order) for q in range(n)]
     return solve_linear_system(rows, rhs)[auto.initial]
+
+
+def coeff_fib_reference(k, t):
+    total = 0
+    for n in range(t // 2 + 1):
+        cn = catalan(n)
+        for m in range(t - 2 * n + 1):
+            c = convolved_binomial(k, t - 2 * n - m, m)
+            if c:
+                total += cn * binom(m + 2 * n, m) * c
+    return total
 
 
 def coeff_grand_reference(k, t):

@@ -43,8 +43,6 @@ def test_worked_example_counts_by_every_method():
     for family, value in expected.items():
         assert brute.count_paths(family, 2, 3) == value, family
         for method in METHODS:
-            if method == "formula" and family == "grand-prefix":
-                continue
             assert gf(family, 2, 3, method).coefficient(3) == value, (family, method)
     _verdict("length-3 counts for k=2 agree across every method")
 

@@ -8,6 +8,7 @@ from fibpaths.brute import BudgetExceeded, count_paths, list_paths, path_counts
 from fibpaths.families import (
     coeff_fib,
     coeff_grand,
+    coeff_grand_prefix,
     coeff_prefix,
     default_depth,
     gf,
@@ -29,6 +30,7 @@ ENTRY_POINTS = [
     (convolved_binomial, dict(k=2, j=3, r=1)),
     (coeff_fib, dict(k=2, t=4)),
     (coeff_grand, dict(k=2, t=4)),
+    (coeff_grand_prefix, dict(k=2, t=4)),
     (coeff_prefix, dict(k=2, t=4)),
     (count_paths, dict(family="fib", k=2, n=4)),
     (path_counts, dict(family="fib", k=2, n_max=4)),

@@ -162,14 +162,14 @@ def test_seq_refuses_only_depths_below_the_least_exact_one(capsys, family, metho
             assert "--depth %d is below %d" % (least - 1, least) in capsys.readouterr().err
 
 
-def test_seq_formula_unavailable_exits_3(capsys):
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_seq_grand_prefix_formula_prints_the_published_row(capsys, k):
     code, out, err = run(
-        capsys, "seq", "--family", "grand-prefix", "--k", "2", "--n", "5",
+        capsys, "seq", "--family", "grand-prefix", "--k", str(k), "--n", "10",
         "--method", "formula",
     )
-    assert code == 3
-    assert out == ""
-    assert "grand-prefix" in err
+    assert (code, err) == (0, "")
+    assert out.split() == [str(c) for c in tables.TABLE_GRAND_PREFIX[k]]
 
 
 def test_seq_brute_budget_exits_2(capsys):

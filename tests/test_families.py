@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from fibpaths import brute, families
 from fibpaths.families import (
     METHODS,
-    MethodUnavailable,
     PathCountReport,
     coeff_fib,
     coeff_grand,
+    coeff_grand_prefix,
     coeff_prefix,
     default_depth,
     gf,
@@ -67,9 +67,10 @@ def test_gf_refuses_a_depth_for_a_method_without_one(method):
         gf("fib", 2, 10, method, depth=0)
 
 
-def test_gf_formula_unavailable_for_grand_prefix():
-    with pytest.raises(MethodUnavailable):
-        gf("grand-prefix", 2, 5, "formula")
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_coeff_grand_prefix_matches_brute(k):
+    want = brute.path_counts("grand-prefix", k, 40)
+    assert [coeff_grand_prefix(k, t) for t in range(41)] == want
 
 
 @pytest.mark.parametrize("family", families.FAMILIES)
@@ -127,8 +128,6 @@ def test_coeff_spot_values():
 def test_all_methods_agree_small(family, k):
     reference = ints(gf(family, k, 12, "closed"))
     for method in METHODS[1:]:
-        if method == "formula" and family == "grand-prefix":
-            continue
         assert ints(gf(family, k, 12, method)) == reference
 
 
@@ -238,6 +237,13 @@ def test_verify_methods_passes_depth_only_to_cf_and_automaton(monkeypatch):
     monkeypatch.setattr(families, "gf", recording_gf)
     assert verify_methods("fib", 2, 6, brute_max=2, depth=3) == []
     assert calls == [("closed", None), ("cf", 3), ("automaton", 3), ("formula", None)]
+
+
+def test_verify_methods_compares_the_grand_prefix_formula(monkeypatch):
+    monkeypatch.setitem(families.FORMULAS, "grand-prefix",
+                        lambda k, t: coeff_grand_prefix(k, t) + (t == 4))
+    got = verify_methods("grand-prefix", 2, 6, brute_max=2)
+    assert got == [("grand-prefix", 2, 4, "closed", "formula", 181, 182)]
 
 
 def test_verify_methods_brute_window():

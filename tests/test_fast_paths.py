@@ -2,8 +2,7 @@
 
 The continued fractions and the automaton solve must return the very
 Series of a full-order evaluation, order included, so results are compared
-as (order, coefficients) pairs: Series equality only looks at the shared
-range.
+as (order, coefficients) pairs.
 """
 
 import math
@@ -20,10 +19,17 @@ from fibpaths.contfrac import (
     grand_meander_cf,
     meander_cf,
 )
-from fibpaths.families import coeff_grand, coeff_prefix, default_depth, horizontal_weight
+from fibpaths.families import (
+    coeff_fib,
+    coeff_grand,
+    coeff_prefix,
+    default_depth,
+    horizontal_weight,
+)
 from fibpaths.series import Series, poly, zero
 
 from helpers import (
+    coeff_fib_reference,
     coeff_grand_reference,
     coeff_prefix_reference,
     excursion_cf_reference,
@@ -114,6 +120,7 @@ def test_nonconstant_chains_match_full_order(name, first):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_formula_sums_match_fraction_sums(k):
     for t in range(31):
+        assert coeff_fib(k, t) == coeff_fib_reference(k, t), t
         assert coeff_grand(k, t) == coeff_grand_reference(k, t), t
         assert coeff_prefix(k, t) == coeff_prefix_reference(k, t), t
 

@@ -239,8 +239,10 @@ def test_sqrt_bad_constant_term():
         poly([0, 1], 4).sqrt()
 
 
-def test_equality_over_shared_range():
-    assert poly([1, 2], 2) == poly([1, 2, 0, 9], 3)
+def test_series_of_different_orders_are_unequal():
+    assert Series([1, 2]) != Series([1, 2, 3])
+    assert poly([1, 2], 2) != poly([1, 2, 0, 9], 3)
+    assert poly([1, 2], 3) == poly([1, 2, 0, 0], 3)
     assert poly([1, 2], 5) != poly([1, 3], 5)
 
 
