@@ -5,18 +5,17 @@ Each function takes coefficient sequences (index = exponent) and the number
 coefficients.  Preconditions (nonzero or unit constant term) are the
 caller's job; see fibpaths.series.
 
-``mul`` and ``inv`` keep the number type they are given.  ``mul`` of two
-int lists returns ints; ``inv`` of an int list returns ints when its
-constant term is 1 or -1 and exact Fractions otherwise; Fraction input gives
-Fraction output.  ``inv`` also runs on plain ints when a Fraction input is
-an integer series with constant term 1 or -1 through z^(m-1), as every pivot
-of the chain automata and the continued fractions is, and converts its
-result to Fractions once at the end.  ``sqrt`` computes on Fractions.
+``mul`` and ``inv`` keep the number type they are given, and never convert
+it.  ``mul`` of two int lists returns ints; ``inv`` of an int list with
+constant term 1 or -1 returns ints, and exact Fractions for any other
+constant term; Fraction input gives Fraction output.  ``sqrt`` computes on
+Fractions.
 
-``Series`` stores Fractions, so it hands these kernels ints only for a
-quotient of an integer series by a unit integer series; its products stay
-on Fractions until ``Series`` itself stores integers (ROADMAP item 2, which
-waits for the per-call memory measurement of item 1).
+``Series`` stores Fractions and alone decides when to hand these kernels
+ints: for the reciprocal of a unit integer series and the quotient of an
+integer series by one.  Its products stay on Fractions until ``Series``
+itself stores integers (ROADMAP item 2, which waits for the per-call memory
+measurement of item 1).
 """
 
 from fractions import Fraction
@@ -44,26 +43,13 @@ def mul(a, b, m):
 def inv(a, m):
     """First m coefficients of the reciprocal of a; requires a[0] != 0.
 
-    b_0 = 1/a_0 and b_n = -(sum_{i=1..n} a_i b_{n-i}) / a_0.  When a_0 is 1
-    or -1 and a_1 .. a_{m-1} are integers, 1/a_0 = a_0 and the recurrence
-    runs on ints: an int list gets ints back, a Fraction list gets them
-    converted to Fractions once at the end.  Otherwise the recurrence runs
-    on Fractions, 1/a_0 included, so an int list with another constant
-    term still gets exact Fractions.
+    b_0 = 1/a_0 and b_n = -(sum_{i=1..n} a_i b_{n-i}) / a_0.  When a_0 is
+    the int 1 or -1, 1/a_0 = a_0 and the recurrence runs on the ints it is
+    given.  Otherwise it runs on Fractions, 1/a_0 included, so an int list
+    with another constant term still gets exact Fractions.
     """
     a0 = a[0]
-    if a0 == 1 or a0 == -1:
-        head = a[:m]
-        if all(type(c) is int for c in head):
-            return _reciprocal(head, a0, m)
-        if all(c.denominator == 1 for c in head):
-            b = _reciprocal([c.numerator for c in head], a0.numerator, m)
-            return [Fraction(c) for c in b]
-    return _reciprocal(a, Fraction(1) / a0, m)
-
-
-def _reciprocal(a, inv0, m):
-    """The recurrence of inv, in the number type of a and inv0 = 1/a_0."""
+    inv0 = a0 if type(a0) is int and (a0 == 1 or a0 == -1) else Fraction(1) / a0
     la = len(a)
     b = [inv0] if m > 0 else []
     for n in range(1, m):

@@ -25,8 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import automata, brute, contfrac
-from ._checks import METHODS, check_family, check_k, check_method, check_size
-from .brute import CONSTRAINTS, FAMILIES
+from ._checks import FAMILIES, METHODS, check_family, check_k, check_method, check_size
 from .kfib import binom, catalan, convolved_binomial
 from .series import DEFAULT_ORDER, Series, poly
 
@@ -46,6 +45,17 @@ __all__ = [
     "sequence",
     "verify_methods",
 ]
+
+# family -> (its contfrac evaluators' name stem, its automaton's chain kind,
+# whether every chain state is final): excursions end on the axis, meanders
+# anywhere, and the grand families may also go below it
+SHAPES = {
+    "fib": ("excursion", "linear", False),
+    "grand": ("grand_excursion", "bilinear", False),
+    "prefix": ("meander", "linear", True),
+    "grand-prefix": ("grand_meander", "bilinear", True),
+}
+
 
 class NonIntegralResult(ArithmeticError):
     """A path count came out non-integral; the computation is inconsistent."""
@@ -77,10 +87,9 @@ def default_depth(family: str, order: int, method: str) -> int:
     check_family(family)
     check_size("order", order)
     check_method(method)
-    half = (order + 1) // 2 + 1
-    if method == "automaton" and CONSTRAINTS[family][1] is False:
+    if method == "automaton" and SHAPES[family][2]:
         return order
-    return half
+    return (order + 1) // 2 + 1
 
 
 def least_depth(family: str, order: int, method: str) -> int:
@@ -94,7 +103,7 @@ def least_depth(family: str, order: int, method: str) -> int:
     check_family(family)
     check_size("order", order)
     check_method(method)
-    if method == "automaton" and CONSTRAINTS[family][1] is False:
+    if method == "automaton" and SHAPES[family][2]:
         return order
     return order // 2
 
@@ -131,40 +140,28 @@ def gf(family: str, k: int, order: int | None = None, method: str = "closed",
     return out
 
 
+# The evaluators are looked up on the contfrac module at call time, so that
+# a wrapper put there sees every call.
+
 def _closed(family: str, k: int, order: int) -> Series:
     w = order + 2
     step = poly([0, 1], w)
-    h = horizontal_weight(k, w)
-    if family == "fib":
-        return contfrac.excursion_closed(step, step, h, order)
-    if family == "grand":
-        return contfrac.grand_excursion_closed(step, step, h, order)
-    if family == "prefix":
-        return contfrac.meander_closed(step, step, h, order)
-    return contfrac.grand_meander_closed(step, step, h, order)
+    closed = getattr(contfrac, SHAPES[family][0] + "_closed")
+    return closed(step, step, horizontal_weight(k, w), order)
 
 
 def _cf(family: str, k: int, order: int, depth: int | None) -> Series:
     s = default_depth(family, order, "cf") if depth is None else depth
-    level = _level(k, order)
-    if family == "fib":
-        return contfrac.excursion_cf([level] * (s + 1), s, order)
-    if family == "grand":
-        return contfrac.grand_excursion_cf([level] * (s + 1), s, order)
-    levels = [level] * (order + s + 2)
-    if family == "prefix":
-        return contfrac.meander_cf(levels, s, order)
-    return contfrac.grand_meander_cf(levels, s, order)
+    cf = getattr(contfrac, SHAPES[family][0] + "_cf")
+    # a meander's tail E_j reads levels j .. j+s for every j through order
+    return cf([_level(k, order)] * (order + s + 2), s, order)
 
 
 def _automaton(family: str, k: int, order: int, depth: int | None) -> Series:
     s = default_depth(family, order, "automaton") if depth is None else depth
-    nonneg, end_zero = CONSTRAINTS[family]
+    _, kind, all_final = SHAPES[family]
     spec = automata.ChainSpec(
-        kind="linear" if nonneg else "bilinear",
-        depth=s,
-        levels=[_level(k, order)] * (s + 1),
-        all_final=not end_zero,
+        kind=kind, depth=s, levels=[_level(k, order)] * (s + 1), all_final=all_final
     )
     return automata.solve(automata.build_chain(spec), order)
 

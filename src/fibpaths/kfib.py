@@ -59,9 +59,8 @@ def convolved_sum(k: int, m: int, r: int) -> int:
     """F^(r)_{k,m+1} as the sum over weak compositions m_1+...+m_r = m of
     prod_i F_{k,m_i+1}, evaluated by peeling off the first part."""
     check_k(k)
+    check_size("m", m)
     check_size("r", r)
-    if m < 0:
-        return 0
     if r == 0:
         return 1 if m == 0 else 0
     if r == 1:
@@ -76,9 +75,8 @@ def convolved_binomial(k: int, j: int, r: int) -> int:
     """Binomial closed form for F^(r)_{k,j+1}:
     sum_{l=0}^{floor(j/2)} C(j+r-l-1, j-l) C(j-l, l) k^(j-2l)."""
     check_k(k)
+    check_size("j", j)
     check_size("r", r)
-    if j < 0:
-        return 0
     if r == 0:
         return 1 if j == 0 else 0
     return sum(

@@ -3,7 +3,10 @@
 A Series stores the coefficients of z^0 .. z^order as Fractions.  All
 arithmetic is exact; binary operations truncate to the smaller operand
 order, so every retained coefficient of a result is the true coefficient
-of the corresponding formal operation.  Division cancels the common power
+of the corresponding formal operation.  The reciprocal of an integer series
+with constant term 1 or -1 is an integer series, and so is the quotient of
+an integer series by one; `_unit_integral` is the one place that decides
+when the kernels run on ints for them.  Division cancels the common power
 of z first (the quotient must again be a power series, never a Laurent
 series) and therefore returns a series of order reduced by the divisor's
 valuation.
@@ -68,6 +71,17 @@ def _as_fraction(x):
     if isinstance(x, int):
         return Fraction(x)
     return None
+
+
+def _unit_integral(unit, *others):
+    """The numerators of `unit` and of each of `others` as int lists when
+    unit[0] is 1 or -1 and every coefficient is integral; None otherwise."""
+    if unit[0] != 1 and unit[0] != -1:
+        return None
+    lists = (unit,) + others
+    if not all(c.denominator == 1 for cs in lists for c in cs):
+        return None
+    return [[c.numerator for c in cs] for cs in lists]
 
 
 class Series:
@@ -179,21 +193,27 @@ class Series:
         return result
 
     def inverse(self) -> "Series":
-        """Reciprocal; requires a nonzero constant term."""
-        if not self._coeffs[0]:
+        """Reciprocal; requires a nonzero constant term.  It runs on ints
+        when the series is integral with constant term 1 or -1."""
+        cs = self._coeffs
+        if not cs[0]:
             raise ZeroConstantTerm("cannot invert a series with constant term 0")
-        return Series(kernels.inv(self._coeffs, len(self._coeffs)))
+        ints = _unit_integral(cs)
+        if ints is not None:
+            cs = ints[0]
+        return Series(kernels.inv(cs, len(cs)))
 
     def __truediv__(self, other):
         """Exact quotient.  For series operands the divisor's valuation v is
         cancelled first, so the result has order min(order_a, order_b) - v.
 
         When the divisor's leading coefficient is 1 or -1 and both operands
-        are integer series, the quotient is an integer series too, and the
-        kernels compute it on the numerators as ints; the result is
-        converted to Fractions once.  Every other quotient, and every
-        product, runs on the stored Fractions until Series stores integers
-        (ROADMAP item 2, which waits for item 1).
+        are integral through the quotient's order, the quotient is an
+        integer series too: `_unit_integral` hands the kernels the
+        numerators as ints, and the constructor converts the result to
+        Fractions once.  Every other quotient, and every product, runs on
+        the stored Fractions until Series stores integers (ROADMAP item 2,
+        which waits for item 1).
         """
         if not isinstance(other, Series):
             s = _as_fraction(other)
@@ -215,13 +235,9 @@ class Series:
             raise OrderExceeded("no quotient coefficients remain after cancelling z^%d" % v)
         num = self._coeffs[v : v + m]
         den = other._coeffs[v : v + m]
-        if (
-            (den[0] == 1 or den[0] == -1)
-            and all(c.denominator == 1 for c in den)
-            and all(c.denominator == 1 for c in num)
-        ):
-            num = [c.numerator for c in num]
-            den = [c.numerator for c in den]
+        ints = _unit_integral(den, num)
+        if ints is not None:
+            den, num = ints
         return Series(kernels.mul(num, kernels.inv(den, m), m))
 
     def sqrt(self) -> "Series":

@@ -3,7 +3,7 @@ and the names the perfbench tracer patches stay where it looks for them."""
 
 import pytest
 
-from fibpaths import brute, families
+from fibpaths import brute, contfrac, families
 from fibpaths.brute import BudgetExceeded, count_paths, list_paths, path_counts
 from fibpaths.families import (
     coeff_fib,
@@ -39,7 +39,7 @@ ENTRY_POINTS = [
     (default_depth, dict(family="fib", order=4, method="automaton")),
     (least_depth, dict(family="fib", order=4, method="automaton")),
 ]
-CHECKED = ("k", "order", "depth", "n_max", "brute_max", "n", "r", "t")
+CHECKED = ("k", "order", "depth", "n_max", "brute_max", "n", "r", "t", "j", "m")
 BAD = [True, 2.0, "3", -1]
 
 
@@ -96,6 +96,27 @@ def test_what_the_tracer_patches_is_still_there(monkeypatch):
         assert cached.cache_info().misses >= 1
     assert brute.FAMILIES == families.FAMILIES == tuple(brute.CONSTRAINTS)
     assert check_k(3) == 3
+    # the family table says what the oracle's constraints say
+    for family, (nonneg, end_zero) in brute.CONSTRAINTS.items():
+        _, kind, all_final = families.SHAPES[family]
+        assert (kind == "linear") is nonneg
+        assert all_final is not end_zero
+
+    # gf reaches each contfrac evaluator through the module attribute
+    reached = []
+    for stem, _, _ in families.SHAPES.values():
+        for name in (stem + "_closed", stem + "_cf"):
+
+            def counting(*args, _name=name, _real=getattr(contfrac, name)):
+                reached.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(contfrac, name, counting)
+    for family, (stem, _, _) in families.SHAPES.items():
+        for method in ("closed", "cf"):
+            reached.clear()
+            gf(family, 2, 6, method)
+            assert reached[0] == "%s_%s" % (stem, method), (family, method)
 
     methods = []
     real_gf = families.gf

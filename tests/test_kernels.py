@@ -120,33 +120,6 @@ def test_inv_of_a_unit_series_with_a_rational_coefficient(a0):
     check_inv(fracs([a0, 0, 0, Fraction(1, 2)]), 10)
 
 
-def test_inv_runs_on_ints_exactly_for_unit_integer_series(monkeypatch):
-    taken = []
-    real = _kernels_py._reciprocal
-
-    def recording(a, inv0, m):
-        if type(inv0) is int:
-            taken.append(list(a))
-        return real(a, inv0, m)
-
-    monkeypatch.setattr(_kernels_py, "_reciprocal", recording)
-    for a, m, on_ints, kind in [
-        (fracs([1, 2, 3]), 6, True, Fraction),
-        (fracs([-1, 0, 5]), 6, True, Fraction),
-        ([1, -3], 4, True, int),  # an int list gets ints back
-        (fracs([1, 2, Fraction(1, 3)]), 2, True, Fraction),  # the rational is past z^(m-1)
-        (fracs([1, 2, Fraction(1, 3)]), 3, False, Fraction),
-        (fracs([2, 1]), 4, False, Fraction),
-        (fracs([-2, 1]), 4, False, Fraction),
-        (fracs([Fraction(1, 2), 1]), 4, False, Fraction),
-    ]:
-        taken.clear()
-        check_inv(a, m, kind)
-        assert bool(taken) is on_ints, (a, m)
-        if taken:
-            assert all(type(c) is int for c in taken[0])
-
-
 def test_series_calls_the_bound_kernels(monkeypatch):
     calls = []
     for name in ("mul", "inv", "sqrt"):

@@ -129,6 +129,31 @@ def test_inverse_rational_coefficients():
     assert got.coefficients() == tuple(long_division([1], p, 10))
 
 
+def test_inverse_hands_the_kernel_ints_exactly_for_a_unit_integral_series(monkeypatch):
+    seen = []
+    real = _backend.kernels.inv
+
+    def recording(a, m):
+        seen.extend(type(c) for c in a)
+        return real(a, m)
+
+    monkeypatch.setattr(_backend.kernels, "inv", recording)
+    for coeffs, order, on_ints in [
+        ([1, 2, 3], 6, True),
+        ([-1, 0, 5], 6, True),
+        ([1, 2, Fraction(1, 3)], 1, True),  # the rational is past the kept order
+        ([1, 2, Fraction(1, 3)], 2, False),
+        ([2, 1], 4, False),
+        ([-2, 1], 4, False),
+        ([Fraction(1, 2), 1], 4, False),
+    ]:
+        seen.clear()
+        got = poly(coeffs, order).inverse()
+        assert set(seen) == ({int} if on_ints else {Fraction}), (coeffs, order)
+        assert got.coefficients() == tuple(long_division([1], coeffs[: order + 1], order + 1))
+        assert all(type(c) is Fraction for c in got.coefficients())
+
+
 def test_inverse_zero_constant_term():
     with pytest.raises(ZeroConstantTerm):
         poly([0, 1], 4).inverse()
