@@ -1,10 +1,14 @@
-"""The input contract: which family, method, k or size (a path length, series
-order, depth, convolution order r or coefficient index t) is valid.  Every
-entry point calls these checks; each returns its value; a bool is no int
-here."""
+"""The input contract: which family, method, k, size (a path length, series
+order, depth, convolution order r or coefficient index t) or series weight
+is valid.  Every entry point calls these checks; each returns its value; a
+bool is no int here."""
+
+from .series import Series
 
 FAMILIES = ("fib", "grand", "prefix", "grand-prefix")
 METHODS = ("closed", "cf", "automaton", "formula", "brute")
+# the methods that truncate a chain at a depth
+DEPTH_METHODS = ("cf", "automaton")
 
 
 def check_family(family):
@@ -19,6 +23,13 @@ def check_method(method):
     return method
 
 
+def check_depth_method(method):
+    if check_method(method) not in DEPTH_METHODS:
+        raise ValueError("depth applies only to the %s methods, not %s"
+                         % (" and ".join(DEPTH_METHODS), method))
+    return method
+
+
 def check_k(k):
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer, got %r" % (k,))
@@ -29,3 +40,16 @@ def check_size(name, value):
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ValueError("%s must be a nonnegative integer, got %r" % (name, value))
     return value
+
+
+def check_weight(w, what, order, error=ValueError):
+    """A counting weight: a Series of valuation >= 1 carrying at least the
+    `order` it is read at; a shorter weight is a truncation whose tail is
+    unknown, not an exact polynomial."""
+    if not isinstance(w, Series):
+        raise error("%s must be a Series, got %r" % (what, w))
+    if w.valuation() == 0:
+        raise error("%s must have valuation >= 1" % what)
+    if w.order < order:
+        raise error("%s must have order >= %d, got %d" % (what, order, w.order))
+    return w

@@ -37,6 +37,7 @@ import heapq
 import math
 from collections import namedtuple
 
+from ._checks import check_size, check_weight
 from .series import (
     DivisionByZeroSeries,
     InsufficientValuation,
@@ -198,32 +199,16 @@ def _state_orders(auto: WeightedAutomaton, order: int) -> list[int]:
 
 
 def solve(auto: WeightedAutomaton, order: int) -> Series:
-    """Generating function of the initial state, exact through `order`.
-
+    """Generating function of the initial state, exact through `order`,
+    carrying each state only as far as the module's precision rule needs.
     Every weight must carry at least `order` coefficients: a shorter weight
-    is a truncation whose tail is unknown, not an exact polynomial.
-
-    Precision rule: state q's row, right-hand side and weights are carried
-    only through z^r(q), r(q) = min(order, max(order - d(q), 1)), d(q) the
-    least total edge valuation of a walk from the initial state to q
-    (unreachable states take r = 1; every r is 0 at order 0).  Elimination
-    and back-substitution zero-pad a lower-order series to the order of the
-    row it meets; the padding lands past that order, since the entry that
-    multiplies it has valuation at least d(j) - d(i).  The floor of 1 keeps
-    every valuation-1 weight nonzero, so a chain's solve makes the kernel
-    calls of a full-order one (one product fewer where a right-hand side is
-    zero at its row's order).  The result is the Series of a full-order
-    solve, order included.
-    """
+    is a truncation whose tail is unknown (see `_checks.check_weight`)."""
+    check_size("order", order)
     problems = validate(auto)
     if problems:
         raise InvalidAutomaton("; ".join(problems))
     for src, dst, w in auto.transitions:
-        if w.order < order:
-            raise InvalidAutomaton(
-                "weight on %d->%d has order %d < requested %d"
-                % (src, dst, w.order, order)
-            )
+        check_weight(w, "weight on %d->%d" % (src, dst), order, InvalidAutomaton)
     n = auto.n_states
     r = _state_orders(auto, order)
     rows = [{q: one(r[q])} for q in range(n)]
@@ -252,9 +237,7 @@ class ChainSpec(namedtuple("ChainSpec", "kind depth levels all_final")):
 def build_chain(spec: ChainSpec) -> WeightedAutomaton:
     """Truncated chain automaton; deleting the levels above `depth` keeps
     the boundary loop and back-edge."""
-    s = spec.depth
-    if s < 0:
-        raise InvalidAutomaton("depth must be nonnegative")
+    s = check_size("depth", spec.depth)
     if len(spec.levels) <= s:
         raise InvalidAutomaton(
             "need %d levels for depth %d, got %d" % (s + 1, s, len(spec.levels))

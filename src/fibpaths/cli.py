@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from . import brute, families, tables
-from ._checks import check_k, check_size
+from ._checks import DEPTH_METHODS, check_k, check_size
 from .automata import SingularSystem
 from .brute import BudgetExceeded
 from .families import FAMILIES, METHODS, NonIntegralResult
@@ -171,13 +171,14 @@ def main(argv=None) -> int:
     if args.command == "seq":
         if args.header and args.format != "csv":
             parser.error("--header applies only to --format csv")
-        if args.depth is not None and args.method not in ("cf", "automaton"):
-            parser.error("--depth applies only to --method cf or automaton, not %s"
-                         % args.method)
-        least = families.least_depth(args.family, args.n, args.method)
-        if args.depth is not None and args.depth < least:
-            parser.error("--depth %d is below %d, the least depth exact through --n %d"
-                         % (args.depth, least, args.n))
+        if args.depth is not None:
+            if args.method not in DEPTH_METHODS:
+                parser.error("--depth applies only to --method %s, not %s"
+                             % (" or ".join(DEPTH_METHODS), args.method))
+            least = families.least_depth(args.family, args.n, args.method)
+            if args.depth < least:
+                parser.error("--depth %d is below %d, the least depth exact through --n %d"
+                             % (args.depth, least, args.n))
     try:
         return args.func(args)
     except BudgetExceeded as exc:

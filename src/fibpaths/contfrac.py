@@ -15,6 +15,14 @@ the evaluators here are exact through z^(2s+1) when the step weights have
 valuation 1: the first walk they miss climbs s+1 levels above a base level
 and comes back, 2s+2 steps.
 
+Weight rule: every weight an evaluator reads has valuation >= 1 and at
+least the order it is read at: `order` for the continued fractions and
+the two grand closed forms, order + valuation(fg) for `excursion_closed`
+and order + valuation(f) for `meander_closed`, whose divisions cancel
+that power of z.  A shorter weight is a truncation whose tail is unknown,
+and is refused with a ValueError naming it, as are a bad `order` or
+`depth` (see `_checks`).
+
 Precision rule: a walk reaches level i only behind f_0 g_0 ... f_{i-1}
 g_{i-1}, whose valuation is at least 2i, so the continued fraction
 evaluates E_i only through z^max(order - 2i, 0); a meander ends on level j
@@ -22,14 +30,14 @@ behind a prefix of valuation v >= j, so its tail E_j is evaluated only
 through z^(order - v).  A shorter series is padded with zeros before it is
 multiplied by such a factor; the padded coefficients land past the kept
 order.  Every evaluator still returns the Series a full-order evaluation
-gives, with the same order: `order`, capped by the orders of the weights it
-reads.
+gives, of order `order`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
+from ._checks import check_size, check_weight
 from .series import Series, _pad, one
 
 __all__ = [
@@ -58,29 +66,24 @@ def constant_levels(f, g, h, count, fp=None, gp=None, hp=None):
     return [CFLevel(f, g, h, fp, gp, hp)] * count
 
 
-def _check_weight(w, what):
-    if w.valuation() == 0:
-        raise ValueError("%s must have valuation >= 1" % what)
-
-
-def _check_levels(levels, depth, primed=False):
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+def _check_levels(levels, depth, order, primed=False):
+    """Refuse a bad depth or order, too few levels, or a weight of levels
+    0..depth that is not readable at `order`."""
+    check_size("depth", depth)
+    check_size("order", order)
     if len(levels) <= depth:
         raise ValueError(
             "need %d levels for depth %d, got %d" % (depth + 1, depth, len(levels))
         )
     for i, lvl in enumerate(levels[: depth + 1]):
-        _check_weight(lvl.f, "f[%d]" % i)
-        _check_weight(lvl.g, "g[%d]" % i)
-        _check_weight(lvl.h, "h[%d]" % i)
+        check_weight(lvl.f, "f[%d]" % i, order)
+        check_weight(lvl.g, "g[%d]" % i, order)
+        check_weight(lvl.h, "h[%d]" % i, order)
         if primed:
-            if lvl.fp is None or lvl.gp is None or (i > 0 and lvl.hp is None):
-                raise ValueError("two-sided evaluation needs primed weights")
-            _check_weight(lvl.fp, "f'[%d]" % i)
-            _check_weight(lvl.gp, "g'[%d]" % i)
+            check_weight(lvl.fp, "f'[%d]" % i, order)
+            check_weight(lvl.gp, "g'[%d]" % i, order)
             if i > 0:
-                _check_weight(lvl.hp, "h'[%d]" % i)
+                check_weight(lvl.hp, "h'[%d]" % i, order)
 
 
 def _mirror(levels, keep_root_loop=True):
@@ -93,15 +96,6 @@ def _mirror(levels, keep_root_loop=True):
     return out
 
 
-def _reach(levels, depth: int, order: int) -> int:
-    """Order of the excursion GF of the chain truncated at `depth`: `order`,
-    capped by the order of every weight the continued fraction reads."""
-    return min(
-        [order, levels[depth].h.order]
-        + [w.order for lvl in levels[:depth] for w in (lvl.f, lvl.g, lvl.h)]
-    )
-
-
 def excursion_cf(levels, depth: int, order: int) -> Series:
     """Excursion GF of the chain truncated at `depth`, by the continued
     fraction E_i = 1/(1 - h_i - f_i g_i E_{i+1}) with tail E_s = 1/(1-h_s).
@@ -109,14 +103,11 @@ def excursion_cf(levels, depth: int, order: int) -> Series:
     Exact through z^(2*depth+1) when the step weights have valuation 1.
     Level i is evaluated through z^max(order - 2i, 0) only.
     """
-    _check_levels(levels, depth)
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    n = _reach(levels, depth, order)
-    e = (one(max(n - 2 * depth, 0)) - levels[depth].h).inverse()
+    _check_levels(levels, depth, order)
+    e = (one(max(order - 2 * depth, 0)) - levels[depth].h).inverse()
     for i in range(depth - 1, -1, -1):
         lvl = levels[i]
-        o = max(n - 2 * i, 0)
+        o = max(order - 2 * i, 0)
         e = (one(o) - lvl.h - lvl.f.truncate(o) * lvl.g * _pad(e, o)).inverse()
     return e
 
@@ -124,7 +115,7 @@ def excursion_cf(levels, depth: int, order: int) -> Series:
 def grand_excursion_cf(levels, depth: int, order: int) -> Series:
     """Excursion GF of the two-sided chain truncated at levels +-depth:
     1/(1 - h_0 - f_0 g_0 E_1 - f'_0 g'_0 E'_1)."""
-    _check_levels(levels, depth, primed=True)
+    _check_levels(levels, depth, order, primed=True)
     unit = one(order)
     if depth == 0:
         return (unit - levels[0].h).inverse()
@@ -145,7 +136,7 @@ def meander_cf(levels, depth: int, order: int) -> Series:
     exact through z^(2*depth+1) for valuation-1 step weights.  E_j is
     evaluated only through z^(order - v), v the valuation of its prefix.
     """
-    _check_levels(levels, depth)
+    _check_levels(levels, depth, order)
     cache: dict = {}
     total = Series([0] * (order + 1))
     prefix = one(order)
@@ -160,9 +151,11 @@ def meander_cf(levels, depth: int, order: int) -> Series:
         key = tuple(id(lvl) for lvl in window)
         e = cache.get(key)
         if e is None:
+            # the prefix reads f_j through `order`, whatever E_j reads
+            _check_levels(window, depth, order)
             # a later window of the same levels has a larger v: this reaches far enough
             e = cache[key] = excursion_cf(window, depth, order - v)
-        e = _pad(e, _reach(window, depth, order))
+        e = _pad(e, order)
         total = total + prefix * e
         prefix = prefix * levels[j].f * e
         j += 1
@@ -178,7 +171,7 @@ def grand_meander_cf(levels, depth: int, order: int) -> Series:
     The shared factors account for the interleaving of the above-axis and
     below-axis portions through the level-0 loop.
     """
-    _check_levels(levels, depth, primed=True)
+    _check_levels(levels, depth, order, primed=True)
     mirrored = _mirror(levels)
     e = excursion_cf(levels, depth, order)
     ep = excursion_cf(mirrored, depth, order)
@@ -193,14 +186,12 @@ def grand_meander_cf(levels, depth: int, order: int) -> Series:
 # -- closed forms for constant weights ---------------------------------------
 
 
-def _truncated(f, g, h, w):
-    try:
-        return f.truncate(w), g.truncate(w), h.truncate(w)
-    except Exception:
-        raise ValueError(
-            "closed form needs weight series of order >= %d, got %d/%d/%d"
-            % (w, f.order, g.order, h.order)
-        ) from None
+def _read(f, g, h, order):
+    """f, g, h checked and truncated to the `order` a closed form reads."""
+    return tuple(
+        check_weight(w, what, order).truncate(order)
+        for w, what in ((f, "f"), (g, "g"), (h, "h"))
+    )
 
 
 def excursion_closed(f, g, h, order: int) -> Series:
@@ -209,15 +200,14 @@ def excursion_closed(f, g, h, order: int) -> Series:
     The division cancels z^valuation(fg), so f, g, h must carry
     order + valuation(fg) coefficients.
     """
-    _check_weight(f, "f")
-    _check_weight(g, "g")
-    _check_weight(h, "h")
+    check_size("order", order)
     fg = f * g
     if fg.is_zero():
         # chain without up/down excursions: loops only
-        return (1 - h.truncate(order)).inverse()
+        f, g, h = _read(f, g, h, order)
+        return (1 - h).inverse()
     w = order + fg.valuation()
-    f, g, h = _truncated(f, g, h, w)
+    f, g, h = _read(f, g, h, w)
     omh = 1 - h
     root = (omh * omh - 4 * (f * g)).sqrt()
     return ((omh - root) / (2 * (f * g))).truncate(order)
@@ -225,10 +215,7 @@ def excursion_closed(f, g, h, order: int) -> Series:
 
 def grand_excursion_closed(f, g, h, order: int) -> Series:
     """1 / sqrt((1-h)^2 - 4fg) for constant two-sided weights."""
-    _check_weight(f, "f")
-    _check_weight(g, "g")
-    _check_weight(h, "h")
-    f, g, h = _truncated(f, g, h, order)
+    f, g, h = _read(f, g, h, check_size("order", order))
     omh = 1 - h
     return (omh * omh - 4 * (f * g)).sqrt().inverse()
 
@@ -236,13 +223,12 @@ def grand_excursion_closed(f, g, h, order: int) -> Series:
 def meander_closed(f, g, h, order: int) -> Series:
     """(1 - 2f - h - sqrt((1-h)^2 - 4fg)) / (2f (f+g+h-1)) for constant
     level weights; f, g, h must carry order + valuation(f) coefficients."""
-    _check_weight(f, "f")
-    _check_weight(g, "g")
-    _check_weight(h, "h")
+    check_size("order", order)
     if f.is_zero():
-        return (1 - h.truncate(order)).inverse()
+        f, g, h = _read(f, g, h, order)
+        return (1 - h).inverse()
     w = order + f.valuation()
-    f, g, h = _truncated(f, g, h, w)
+    f, g, h = _read(f, g, h, w)
     omh = 1 - h
     root = (omh * omh - 4 * (f * g)).sqrt()
     num = 1 - 2 * f - h - root
@@ -253,8 +239,5 @@ def meander_closed(f, g, h, order: int) -> Series:
 def grand_meander_closed(f, g, h, order: int) -> Series:
     """1 / (1 - f - g - h) for constant two-sided weights: every step
     sequence is admissible, weighted per step."""
-    _check_weight(f, "f")
-    _check_weight(g, "g")
-    _check_weight(h, "h")
-    f, g, h = _truncated(f, g, h, order)
+    f, g, h = _read(f, g, h, check_size("order", order))
     return (1 - f - g - h).inverse()

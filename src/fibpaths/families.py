@@ -25,7 +25,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import automata, brute, contfrac
-from ._checks import FAMILIES, METHODS, check_family, check_k, check_method, check_size
+from ._checks import (DEPTH_METHODS, FAMILIES, METHODS, check_depth_method,
+                      check_family, check_k, check_method, check_size)
 from .kfib import binom, catalan, convolved_binomial
 from .series import DEFAULT_ORDER, Series, poly
 
@@ -76,7 +77,8 @@ def _level(k: int, order: int) -> contfrac.CFLevel:
 
 
 def default_depth(family: str, order: int, method: str) -> int:
-    """A truncation depth that keeps the result exact through `order`.
+    """A truncation depth that keeps the result exact through `order`, for
+    a method in DEPTH_METHODS; the others take no depth.
 
     It is sufficient, not the least (see `least_depth`): the CF evaluators
     are relative to each base level, so ceil(order/2)+1 levels always
@@ -86,7 +88,7 @@ def default_depth(family: str, order: int, method: str) -> int:
     """
     check_family(family)
     check_size("order", order)
-    check_method(method)
+    check_depth_method(method)
     if method == "automaton" and SHAPES[family][2]:
         return order
     return (order + 1) // 2 + 1
@@ -102,7 +104,7 @@ def least_depth(family: str, order: int, method: str) -> int:
     """
     check_family(family)
     check_size("order", order)
-    check_method(method)
+    check_depth_method(method)
     if method == "automaton" and SHAPES[family][2]:
         return order
     return order // 2
@@ -119,9 +121,7 @@ def gf(family: str, k: int, order: int | None = None, method: str = "closed",
     n = DEFAULT_ORDER if order is None else check_size("order", order)
     if depth is not None:
         check_size("depth", depth)
-        if method not in ("cf", "automaton"):
-            raise ValueError("depth applies only to the cf and automaton methods, "
-                             "not %s" % method)
+        check_depth_method(method)
     if method == "closed":
         out = _closed(family, k, n)
     elif method == "cf":
@@ -302,7 +302,7 @@ def verify_methods(family: str, k: int, n_max: int, brute_max: int = 10,
     mismatches = []
     for method in ("cf", "automaton", "formula"):
         got = sequence(family, k, n_max, method,
-                       None if method == "formula" else depth).counts
+                       depth if method in DEPTH_METHODS else None).counts
         for n in range(n_max + 1):
             if got[n] != reference[n]:
                 mismatches.append(

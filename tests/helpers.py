@@ -86,7 +86,7 @@ def inv_reference(a, m):
 
 
 def excursion_cf_reference(levels, depth, order):
-    _check_levels(levels, depth)
+    _check_levels(levels, depth, order)
     unit = one(order)
     e = (unit - levels[depth].h).inverse()
     for i in range(depth - 1, -1, -1):
@@ -96,7 +96,7 @@ def excursion_cf_reference(levels, depth, order):
 
 
 def grand_excursion_cf_reference(levels, depth, order):
-    _check_levels(levels, depth, primed=True)
+    _check_levels(levels, depth, order, primed=True)
     unit = one(order)
     if depth == 0:
         return (unit - levels[0].h).inverse()
@@ -111,7 +111,7 @@ def grand_excursion_cf_reference(levels, depth, order):
 
 
 def meander_cf_reference(levels, depth, order):
-    _check_levels(levels, depth)
+    _check_levels(levels, depth, order)
     cache: dict = {}
 
     def tail(j):
@@ -149,7 +149,7 @@ def _mirror_shared(levels):
 
 
 def grand_meander_cf_reference(levels, depth, order):
-    _check_levels(levels, depth, primed=True)
+    _check_levels(levels, depth, order, primed=True)
     mirrored = _mirror_shared(levels)
     e = excursion_cf_reference(levels, depth, order)
     ep = excursion_cf_reference(mirrored, depth, order)

@@ -4,7 +4,20 @@ and the names the perfbench tracer patches stay where it looks for them."""
 import pytest
 
 from fibpaths import brute, contfrac, families
+from fibpaths._checks import DEPTH_METHODS, METHODS
+from fibpaths.automata import ChainSpec, build_chain, solve
 from fibpaths.brute import BudgetExceeded, count_paths, list_paths, path_counts
+from fibpaths.contfrac import (
+    CFLevel,
+    excursion_cf,
+    excursion_closed,
+    grand_excursion_cf,
+    grand_excursion_closed,
+    grand_meander_cf,
+    grand_meander_closed,
+    meander_cf,
+    meander_closed,
+)
 from fibpaths.families import (
     coeff_fib,
     coeff_grand,
@@ -18,6 +31,14 @@ from fibpaths.families import (
     verify_methods,
 )
 from fibpaths.kfib import check_k, convolved_binomial, convolved_gf, convolved_sum, kfib
+from fibpaths.series import poly
+
+# order-6 weights: enough for order 4, where the closed forms read 4 + 2; a
+# meander at depth 2 reads levels 0 .. 4 + 2 + 1
+STEP = poly([0, 1], 6)
+LEVELS = [CFLevel(STEP, STEP, STEP, STEP, STEP, STEP)] * 8
+CF_ARGS = dict(levels=LEVELS, depth=2, order=4)
+CLOSED_ARGS = dict(f=STEP, g=STEP, h=STEP, order=4)
 
 # entry point -> arguments it accepts; each k or size in them is replaced in turn
 ENTRY_POINTS = [
@@ -38,6 +59,15 @@ ENTRY_POINTS = [
     (horizontal_weight, dict(k=2, order=4)),
     (default_depth, dict(family="fib", order=4, method="automaton")),
     (least_depth, dict(family="fib", order=4, method="automaton")),
+    (excursion_cf, CF_ARGS),
+    (grand_excursion_cf, CF_ARGS),
+    (meander_cf, CF_ARGS),
+    (grand_meander_cf, CF_ARGS),
+    (excursion_closed, CLOSED_ARGS),
+    (grand_excursion_closed, CLOSED_ARGS),
+    (meander_closed, CLOSED_ARGS),
+    (grand_meander_closed, CLOSED_ARGS),
+    (solve, dict(auto=build_chain(ChainSpec("linear", 2, LEVELS)), order=4)),
 ]
 CHECKED = ("k", "order", "depth", "n_max", "brute_max", "n", "r", "t", "j", "m")
 BAD = [True, 2.0, "3", -1]
@@ -58,6 +88,21 @@ def test_bad_k_or_size_raises_value_error_naming_it(fn, good, arg, bad):
     fn(**good)
     with pytest.raises(ValueError, match="^%s must be" % arg):
         fn(**dict(good, **{arg: bad}))
+
+
+@pytest.mark.parametrize("bad", BAD, ids=repr)
+def test_a_chain_depth_is_a_size(bad):
+    build_chain(ChainSpec("bilinear", 2, LEVELS))
+    with pytest.raises(ValueError, match="^depth must be"):
+        build_chain(ChainSpec("bilinear", bad, LEVELS))
+
+
+@pytest.mark.parametrize("method", [m for m in METHODS if m not in DEPTH_METHODS])
+def test_only_the_depth_methods_have_a_depth(method):
+    for fn in (default_depth, least_depth):
+        with pytest.raises(ValueError, match="^depth applies only to the cf and "
+                                             "automaton methods, not %s$" % method):
+            fn("fib", 5, method)
 
 
 @pytest.mark.parametrize(

@@ -162,6 +162,22 @@ def test_seq_refuses_only_depths_below_the_least_exact_one(capsys, family, metho
             assert "--depth %d is below %d" % (least - 1, least) in capsys.readouterr().err
 
 
+def test_seq_asks_the_least_depth_only_for_a_given_depth(capsys, monkeypatch):
+    asked = []
+    real = families.least_depth
+
+    def counting(*args):
+        asked.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(families, "least_depth", counting)
+    base = ("seq", "--family", "prefix", "--k", "2", "--n", "6", "--method", "cf")
+    assert run(capsys, *base)[0] == 0
+    assert asked == []
+    assert run(capsys, *base, "--depth", "3")[0] == 0
+    assert asked == [("prefix", 6, "cf")]
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_seq_grand_prefix_formula_prints_the_published_row(capsys, k):
     code, out, err = run(

@@ -275,3 +275,77 @@ def test_grand_meander_cf_asymmetric_against_enumeration():
     )
     got = grand_meander_cf(levels, 5, order)
     assert ints(got) == [walk(n, 0) for n in range(order + 1)]
+
+
+# -- the input contract ------------------------------------------------------
+#
+# Every weight an evaluator reads has valuation >= 1 and at least the order
+# it is read at; a shorter one is a truncation whose tail is unknown.
+
+
+def _on_chain(cf, two_sided):
+    """`cf` on a constant chain of the given weights at depth 2, long
+    enough for a meander."""
+
+    def evaluate(f, g, h, order):
+        primed = (f, g, h) if two_sided else ()
+        return cf(constant_levels(f, g, h, 12, *primed), 2, order)
+
+    return evaluate
+
+
+EVALUATORS = {
+    "excursion_cf": _on_chain(excursion_cf, False),
+    "grand_excursion_cf": _on_chain(grand_excursion_cf, True),
+    "meander_cf": _on_chain(meander_cf, False),
+    "grand_meander_cf": _on_chain(grand_meander_cf, True),
+    "excursion_closed": excursion_closed,
+    "grand_excursion_closed": grand_excursion_closed,
+    "meander_closed": meander_closed,
+    "grand_meander_closed": grand_meander_closed,
+}
+STEP = poly([0, 1], 8)  # long enough for order 6, read at 6 + 2 by the closed forms
+SHORT = poly([0, 1, 1, 1, 1], 4)
+# input -> (f, g, h, order, the ValueError's message)
+BAD_INPUTS = {
+    "short loop": (STEP, STEP, SHORT, 6, r"^h(\[0\])? must have order >= \d+, got 4$"),
+    "valuation-0 down step": (
+        STEP, poly([1, 1], 8), STEP, 6, r"^g(\[0\])? must have valuation >= 1$"
+    ),
+    "order -1": (STEP, STEP, STEP, -1, "^order must be a nonnegative integer, got -1$"),
+    "missing loop": (STEP, STEP, None, 6, r"^h(\[0\])? must be a Series, got None$"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_INPUTS))
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+def test_bad_weights_and_orders_raise_value_error_naming_them(name, bad):
+    evaluate = EVALUATORS[name]
+    evaluate(STEP, STEP, STEP, 6)
+    *args, message = BAD_INPUTS[bad]
+    with pytest.raises(ValueError, match=message):
+        evaluate(*args)
+
+
+@pytest.mark.parametrize("cf", [grand_excursion_cf, grand_meander_cf])
+def test_two_sided_evaluators_need_the_primed_weights(cf):
+    with pytest.raises(ValueError, match=r"^f'\[0\] must be a Series, got None$"):
+        cf(unit_levels(6, 12), 2, 6)
+
+
+def test_meander_tails_past_the_depth_need_their_weights_too():
+    # the sum reads the windows j .. j + depth for every j, past level depth
+    one_sided = constant_levels(STEP, STEP, STEP, 3) + constant_levels(STEP, STEP, None, 9)
+    with pytest.raises(ValueError, match=r"^h\[2\] must be a Series, got None$"):
+        meander_cf(one_sided, 2, 6)
+    two_sided = constant_levels(STEP, STEP, STEP, 3, STEP, STEP, STEP)
+    with pytest.raises(ValueError, match="must be a Series, got None$"):
+        grand_meander_cf(two_sided + one_sided[3:], 2, 6)
+
+
+@pytest.mark.parametrize("closed", [excursion_closed, meander_closed])
+def test_zero_step_chain_with_a_short_loop_raises_value_error(closed):
+    # no up steps: the closed form is 1/(1 - h), read at the full order
+    assert closed(zero(8), STEP, STEP, 6) == poly([1, -1], 6).inverse()
+    with pytest.raises(ValueError, match="^h must have order >= 6, got 4$"):
+        closed(zero(8), STEP, SHORT, 6)

@@ -60,6 +60,7 @@ def assert_matches_reference(name, levels, depth, order):
     fast, reference, _, _ = EVALUATORS[name]
     got = outcome(fast, levels, depth, order)
     assert got == outcome(reference, levels, depth, order), (name, order, depth)
+    return got
 
 
 def chain_length(name, order, depth):
@@ -89,10 +90,11 @@ def test_constant_chains_match_full_order(name, k):
 
 
 def random_weight(rng, order):
-    """Integer series of valuation 1 or 2, a quarter of them shorter than
-    `order` (a zero series when too short for its valuation)."""
+    """Integer series of valuation 1 or 2 and of order `order`, a quarter of
+    them longer, of order `order` + 1 to `order` + 3 (a zero series when
+    too short for its valuation)."""
     valuation = rng.choice((1, 2))
-    w_order = order if rng.random() < 0.75 else rng.randrange(order + 1)
+    w_order = order if rng.random() < 0.75 else order + rng.randrange(1, 4)
     if valuation > w_order:
         return zero(w_order)
     coeffs = [0] * valuation + [rng.choice((1, 2, -1))]
@@ -114,7 +116,8 @@ def test_nonconstant_chains_match_full_order(name, first):
         depth = depth_for(order, turn + first)
         count = chain_length(name, order, depth)
         levels = random_chain(rng, order, count, rng.choice((1, 2, 3, count)))
-        assert_matches_reference(name, levels, depth, order)
+        # evaluated, not refused: every weight is long enough
+        assert isinstance(assert_matches_reference(name, levels, depth, order), tuple)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
