@@ -1,11 +1,16 @@
 """The input contract: which family, method, k, size (a path length, series
-order, depth, convolution order r or coefficient index t) or series weight
-is valid.  Every entry point calls these checks; each returns its value; a
-bool is no int here."""
+order, depth, convolution order r or coefficient index t), series weight or
+chain of levels is valid.  Every entry point calls these checks; each
+returns its value and raises ValueError; a bool is no int here."""
 
-from .series import Series
-
-FAMILIES = ("fib", "grand", "prefix", "grand-prefix")
+# family -> (stays nonnegative, ends at level 0), all that sets them apart
+CONSTRAINTS = {
+    "fib": (True, True),
+    "grand": (False, True),
+    "prefix": (True, False),
+    "grand-prefix": (False, False),
+}
+FAMILIES = tuple(CONSTRAINTS)
 METHODS = ("closed", "cf", "automaton", "formula", "brute")
 # the methods that truncate a chain at a depth
 DEPTH_METHODS = ("cf", "automaton")
@@ -42,14 +47,35 @@ def check_size(name, value):
     return value
 
 
-def check_weight(w, what, order, error=ValueError):
+def check_weight(w, what, order):
     """A counting weight: a Series of valuation >= 1 carrying at least the
     `order` it is read at; a shorter weight is a truncation whose tail is
     unknown, not an exact polynomial."""
+    from .series import Series  # not on load: series takes its sizes from here
+
     if not isinstance(w, Series):
-        raise error("%s must be a Series, got %r" % (what, w))
+        raise ValueError("%s must be a Series, got %r" % (what, w))
     if w.valuation() == 0:
-        raise error("%s must have valuation >= 1" % what)
+        raise ValueError("%s must have valuation >= 1" % what)
     if w.order < order:
-        raise error("%s must have order >= %d, got %d" % (what, order, w.order))
+        raise ValueError("%s must have order >= %d, got %d" % (what, order, w.order))
     return w
+
+
+def check_levels(levels, depth, order, primed=False):
+    """A chain truncated at `depth`: levels 0..depth, each weight readable
+    at `order`; `primed` also asks for the mirror weights f', g' and, above
+    level 0 (whose loop both sides share), h'."""
+    check_size("depth", depth)
+    check_size("order", order)
+    if len(levels) <= depth:
+        raise ValueError(
+            "need %d levels for depth %d, got %d" % (depth + 1, depth, len(levels))
+        )
+    names = ("f", "g", "h", "fp", "gp", "hp") if primed else ("f", "g", "h")
+    for i, lvl in enumerate(levels[: depth + 1]):
+        for name in names:
+            if i or name != "hp":
+                what = "%s[%d]" % (name.replace("p", "'"), i)
+                check_weight(getattr(lvl, name, None), what, order)
+    return levels

@@ -37,13 +37,14 @@ import heapq
 import math
 from collections import namedtuple
 
-from ._checks import check_size, check_weight
+from ._checks import check_levels, check_size, check_weight
 from .series import (
     DivisionByZeroSeries,
     InsufficientValuation,
     Series,
     _pad,
     one,
+    poly,
     zero,
 )
 
@@ -81,29 +82,36 @@ class WeightedAutomaton(
         )
 
 
+def _is_state(q, n: int) -> bool:
+    """Whether q is a state number: a size (`check_size`) below n."""
+    try:
+        return check_size("state", q) < n
+    except ValueError:
+        return False
+
+
 def validate(auto: WeightedAutomaton) -> list[str]:
     """Structural violations as human-readable strings (empty when valid)."""
+    try:
+        n = check_size("n_states", auto.n_states)
+    except ValueError as exc:
+        return [str(exc)]
+    if n == 0:
+        return ["automaton needs at least one state"]
     out = []
-    n = auto.n_states
-    if n <= 0:
-        out.append("automaton needs at least one state")
-        return out
-    if not 0 <= auto.initial < n:
-        out.append("initial state %r out of range" % (auto.initial,))
-    for q in sorted(auto.finals):
-        if not 0 <= q < n:
-            out.append("final state %r out of range" % (q,))
+    if not _is_state(auto.initial, n):
+        out.append("initial state %r is not a state number" % (auto.initial,))
+    for q in sorted(auto.finals, key=repr):
+        if not _is_state(q, n):
+            out.append("final state %r is not a state number" % (q,))
     for idx, (src, dst, w) in enumerate(auto.transitions):
-        if not (0 <= src < n and 0 <= dst < n):
-            out.append("transition %d endpoints (%r, %r) out of range" % (idx, src, dst))
+        if not (_is_state(src, n) and _is_state(dst, n)):
+            out.append("transition %d endpoints (%r, %r) are not state numbers" % (idx, src, dst))
             continue
-        if not isinstance(w, Series):
-            out.append("transition %d (%d->%d) weight is not a Series" % (idx, src, dst))
-        elif w.valuation() == 0:
-            out.append(
-                "transition %d (%d->%d) weight has constant term %s; counting "
-                "weights need valuation >= 1" % (idx, src, dst, w.coefficient(0))
-            )
+        try:
+            check_weight(w, "transition %d (%d->%d) weight" % (idx, src, dst), 0)
+        except ValueError as exc:
+            out.append(str(exc))
     return out
 
 
@@ -207,8 +215,11 @@ def solve(auto: WeightedAutomaton, order: int) -> Series:
     problems = validate(auto)
     if problems:
         raise InvalidAutomaton("; ".join(problems))
-    for src, dst, w in auto.transitions:
-        check_weight(w, "weight on %d->%d" % (src, dst), order, InvalidAutomaton)
+    try:
+        for src, dst, w in auto.transitions:
+            check_weight(w, "weight on %d->%d" % (src, dst), order)
+    except ValueError as exc:
+        raise InvalidAutomaton(str(exc)) from None
     n = auto.n_states
     r = _state_orders(auto, order)
     rows = [{q: one(r[q])} for q in range(n)]
@@ -236,13 +247,13 @@ class ChainSpec(namedtuple("ChainSpec", "kind depth levels all_final")):
 
 def build_chain(spec: ChainSpec) -> WeightedAutomaton:
     """Truncated chain automaton; deleting the levels above `depth` keeps
-    the boundary loop and back-edge."""
-    s = check_size("depth", spec.depth)
-    if len(spec.levels) <= s:
-        raise InvalidAutomaton(
-            "need %d levels for depth %d, got %d" % (s + 1, s, len(spec.levels))
-        )
-    levels = spec.levels
+    the boundary loop and back-edge.  InvalidAutomaton names the first
+    weight of levels 0..depth that fails `check_levels` at order 0."""
+    try:
+        levels = check_levels(spec.levels, spec.depth, 0, spec.kind == "bilinear")
+    except ValueError as exc:
+        raise InvalidAutomaton(str(exc)) from None
+    s = spec.depth
     if spec.kind == "linear":
         transitions = []
         for i in range(s + 1):
@@ -254,12 +265,6 @@ def build_chain(spec: ChainSpec) -> WeightedAutomaton:
         finals = range(s + 1) if spec.all_final else (0,)
         return WeightedAutomaton(s + 1, 0, frozenset(finals), tuple(transitions))
     if spec.kind == "bilinear":
-        for i in range(s + 1):
-            lvl = levels[i]
-            if (i < s and (lvl.fp is None or lvl.gp is None)) or (
-                0 < i and lvl.hp is None
-            ):
-                raise InvalidAutomaton("bilinear chain needs primed weights")
         # state index = level + s, so states 0..2s cover levels -s..s
         transitions = []
         for i in range(s + 1):
@@ -280,8 +285,6 @@ def build_chain(spec: ChainSpec) -> WeightedAutomaton:
 def motzkin_gf(order: int) -> Series:
     """Closed Motzkin GF (1 - z - sqrt(1 - 2z - 3z^2)) / (2 z^2), the
     reference for the chain solver on unit-weight chains."""
-    from .series import poly
-
-    w = order + 2
+    w = check_size("order", order) + 2
     root = poly([1, -2, -3], w).sqrt()
     return ((poly([1, -1], w) - root) / poly([0, 0, 2], w)).truncate(order)

@@ -3,7 +3,8 @@
 A path is a sequence of steps U=(1,1), D=(1,-1) and horizontal runs
 H(l)=(l,0) with l >= 1; a run of length l carries weight F_{k,l} (its
 number of colorings), so adjacent short runs and one long run are distinct
-step sequences.  The four families constrain level sign and endpoint:
+step sequences.  The four families constrain level sign and endpoint, by
+the table `CONSTRAINTS` that lives in `_checks`:
 
     fib           never below 0, ends at 0
     grand         ends at 0
@@ -16,7 +17,7 @@ it knows nothing about series, continued fractions or automata.
 
 from __future__ import annotations
 
-from ._checks import FAMILIES, check_family, check_k, check_size
+from ._checks import CONSTRAINTS, FAMILIES, check_family, check_k, check_size
 from .kfib import kfib
 
 __all__ = [
@@ -30,14 +31,6 @@ __all__ = [
     "list_paths",
     "path_counts",
 ]
-
-# family -> (must stay nonnegative, must end at level 0)
-CONSTRAINTS = {
-    "fib": (True, True),
-    "grand": (False, True),
-    "prefix": (True, False),
-    "grand-prefix": (False, False),
-}
 
 COUNT_BUDGET = 1000
 LIST_BUDGET = 6

@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from . import brute, families, tables
-from ._checks import DEPTH_METHODS, check_k, check_size
+from ._checks import check_k, check_size
 from .automata import SingularSystem
 from .brute import BudgetExceeded
 from .families import FAMILIES, METHODS, NonIntegralResult
@@ -172,10 +172,10 @@ def main(argv=None) -> int:
         if args.header and args.format != "csv":
             parser.error("--header applies only to --format csv")
         if args.depth is not None:
-            if args.method not in DEPTH_METHODS:
-                parser.error("--depth applies only to --method %s, not %s"
-                             % (" or ".join(DEPTH_METHODS), args.method))
-            least = families.least_depth(args.family, args.n, args.method)
+            try:
+                least = families.least_depth(args.family, args.n, args.method)
+            except ValueError as exc:
+                parser.error("--depth: %s" % exc)
             if args.depth < least:
                 parser.error("--depth %d is below %d, the least depth exact through --n %d"
                              % (args.depth, least, args.n))

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from ._checks import check_size, check_weight
+from ._checks import check_levels, check_size, check_weight
 from .series import Series, _pad, one
 
 __all__ = [
@@ -66,26 +66,6 @@ def constant_levels(f, g, h, count, fp=None, gp=None, hp=None):
     return [CFLevel(f, g, h, fp, gp, hp)] * count
 
 
-def _check_levels(levels, depth, order, primed=False):
-    """Refuse a bad depth or order, too few levels, or a weight of levels
-    0..depth that is not readable at `order`."""
-    check_size("depth", depth)
-    check_size("order", order)
-    if len(levels) <= depth:
-        raise ValueError(
-            "need %d levels for depth %d, got %d" % (depth + 1, depth, len(levels))
-        )
-    for i, lvl in enumerate(levels[: depth + 1]):
-        check_weight(lvl.f, "f[%d]" % i, order)
-        check_weight(lvl.g, "g[%d]" % i, order)
-        check_weight(lvl.h, "h[%d]" % i, order)
-        if primed:
-            check_weight(lvl.fp, "f'[%d]" % i, order)
-            check_weight(lvl.gp, "g'[%d]" % i, order)
-            if i > 0:
-                check_weight(lvl.hp, "h'[%d]" % i, order)
-
-
 def _mirror(levels, keep_root_loop=True):
     """The chain seen by a walk below the axis: f -> g', g -> f', loops h';
     the level-0 loop is shared between the two sides."""
@@ -103,7 +83,7 @@ def excursion_cf(levels, depth: int, order: int) -> Series:
     Exact through z^(2*depth+1) when the step weights have valuation 1.
     Level i is evaluated through z^max(order - 2i, 0) only.
     """
-    _check_levels(levels, depth, order)
+    check_levels(levels, depth, order)
     e = (one(max(order - 2 * depth, 0)) - levels[depth].h).inverse()
     for i in range(depth - 1, -1, -1):
         lvl = levels[i]
@@ -115,7 +95,7 @@ def excursion_cf(levels, depth: int, order: int) -> Series:
 def grand_excursion_cf(levels, depth: int, order: int) -> Series:
     """Excursion GF of the two-sided chain truncated at levels +-depth:
     1/(1 - h_0 - f_0 g_0 E_1 - f'_0 g'_0 E'_1)."""
-    _check_levels(levels, depth, order, primed=True)
+    check_levels(levels, depth, order, primed=True)
     unit = one(order)
     if depth == 0:
         return (unit - levels[0].h).inverse()
@@ -136,7 +116,7 @@ def meander_cf(levels, depth: int, order: int) -> Series:
     exact through z^(2*depth+1) for valuation-1 step weights.  E_j is
     evaluated only through z^(order - v), v the valuation of its prefix.
     """
-    _check_levels(levels, depth, order)
+    check_levels(levels, depth, order)
     cache: dict = {}
     total = Series([0] * (order + 1))
     prefix = one(order)
@@ -152,7 +132,7 @@ def meander_cf(levels, depth: int, order: int) -> Series:
         e = cache.get(key)
         if e is None:
             # the prefix reads f_j through `order`, whatever E_j reads
-            _check_levels(window, depth, order)
+            check_levels(window, depth, order)
             # a later window of the same levels has a larger v: this reaches far enough
             e = cache[key] = excursion_cf(window, depth, order - v)
         e = _pad(e, order)
@@ -171,7 +151,7 @@ def grand_meander_cf(levels, depth: int, order: int) -> Series:
     The shared factors account for the interleaving of the above-axis and
     below-axis portions through the level-0 loop.
     """
-    _check_levels(levels, depth, order, primed=True)
+    check_levels(levels, depth, order, primed=True)
     mirrored = _mirror(levels)
     e = excursion_cf(levels, depth, order)
     ep = excursion_cf(mirrored, depth, order)

@@ -1,7 +1,8 @@
 """The four path families, each countable by five independent methods.
 
 Family kinds (paths take steps U, D and weighted horizontal runs, see
-fibpaths.brute):
+fibpaths.brute; this table is `_checks.CONSTRAINTS`, and each family's
+contfrac evaluators and chain automaton follow from it):
 
     fib           excursions staying weakly above the axis
     grand         excursions allowed below the axis
@@ -25,8 +26,9 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import automata, brute, contfrac
-from ._checks import (DEPTH_METHODS, FAMILIES, METHODS, check_depth_method,
-                      check_family, check_k, check_method, check_size)
+from ._checks import (CONSTRAINTS, DEPTH_METHODS, FAMILIES, METHODS,
+                      check_depth_method, check_family, check_k, check_method,
+                      check_size)
 from .kfib import binom, catalan, convolved_binomial
 from .series import DEFAULT_ORDER, Series, poly
 
@@ -46,17 +48,6 @@ __all__ = [
     "sequence",
     "verify_methods",
 ]
-
-# family -> (its contfrac evaluators' name stem, its automaton's chain kind,
-# whether every chain state is final): excursions end on the axis, meanders
-# anywhere, and the grand families may also go below it
-SHAPES = {
-    "fib": ("excursion", "linear", False),
-    "grand": ("grand_excursion", "bilinear", False),
-    "prefix": ("meander", "linear", True),
-    "grand-prefix": ("grand_meander", "bilinear", True),
-}
-
 
 class NonIntegralResult(ArithmeticError):
     """A path count came out non-integral; the computation is inconsistent."""
@@ -89,7 +80,7 @@ def default_depth(family: str, order: int, method: str) -> int:
     check_family(family)
     check_size("order", order)
     check_depth_method(method)
-    if method == "automaton" and SHAPES[family][2]:
+    if method == "automaton" and not CONSTRAINTS[family][1]:
         return order
     return (order + 1) // 2 + 1
 
@@ -105,7 +96,7 @@ def least_depth(family: str, order: int, method: str) -> int:
     check_family(family)
     check_size("order", order)
     check_depth_method(method)
-    if method == "automaton" and SHAPES[family][2]:
+    if method == "automaton" and not CONSTRAINTS[family][1]:
         return order
     return order // 2
 
@@ -140,29 +131,33 @@ def gf(family: str, k: int, order: int | None = None, method: str = "closed",
     return out
 
 
-# The evaluators are looked up on the contfrac module at call time, so that
-# a wrapper put there sees every call.
+def _evaluator(family: str, kind: str):
+    """The family's contfrac evaluator of `kind` ("closed" or "cf"), looked
+    up on the contfrac module at call time, so that a wrapper put there
+    sees every call."""
+    nonneg, ends_at_0 = CONSTRAINTS[family]
+    stem = ("" if nonneg else "grand_") + ("excursion" if ends_at_0 else "meander")
+    return getattr(contfrac, "%s_%s" % (stem, kind))
+
 
 def _closed(family: str, k: int, order: int) -> Series:
     w = order + 2
     step = poly([0, 1], w)
-    closed = getattr(contfrac, SHAPES[family][0] + "_closed")
-    return closed(step, step, horizontal_weight(k, w), order)
+    return _evaluator(family, "closed")(step, step, horizontal_weight(k, w), order)
 
 
 def _cf(family: str, k: int, order: int, depth: int | None) -> Series:
     s = default_depth(family, order, "cf") if depth is None else depth
-    cf = getattr(contfrac, SHAPES[family][0] + "_cf")
+    cf = _evaluator(family, "cf")
     # a meander's tail E_j reads levels j .. j+s for every j through order
     return cf([_level(k, order)] * (order + s + 2), s, order)
 
 
 def _automaton(family: str, k: int, order: int, depth: int | None) -> Series:
     s = default_depth(family, order, "automaton") if depth is None else depth
-    _, kind, all_final = SHAPES[family]
-    spec = automata.ChainSpec(
-        kind=kind, depth=s, levels=[_level(k, order)] * (s + 1), all_final=all_final
-    )
+    nonneg, ends_at_0 = CONSTRAINTS[family]
+    spec = automata.ChainSpec("linear" if nonneg else "bilinear", s,
+                              [_level(k, order)] * (s + 1), not ends_at_0)
     return automata.solve(automata.build_chain(spec), order)
 
 

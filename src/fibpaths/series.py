@@ -22,6 +22,7 @@ import math
 from fractions import Fraction
 
 from ._backend import kernels
+from ._checks import check_size
 
 __all__ = [
     "BadConstantTerm",
@@ -274,16 +275,16 @@ def _pad(s: Series, order: int) -> Series:
 def poly(coeffs, order: int | None = None) -> Series:
     """Series with the given leading coefficients, zero-padded to `order`.
 
-    Without an explicit order the polynomial's own degree is used.  Extra
-    coefficients beyond the requested order are dropped.
+    Without an explicit order the polynomial's own degree is used; an
+    explicit one is a size (see `_checks.check_size`).  Extra coefficients
+    beyond the requested order are dropped.
     """
     cs = list(coeffs)
     if not cs:
         raise ValueError("poly() needs at least one coefficient")
     if order is None:
         return Series(cs)
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    check_size("order", order)
     if len(cs) > order + 1:
         cs = cs[: order + 1]
     return Series(cs + [0] * (order + 1 - len(cs)))

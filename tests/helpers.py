@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 
+from fibpaths._checks import check_levels
 from fibpaths.automata import solve_linear_system
 from fibpaths.brute import CONSTRAINTS
-from fibpaths.contfrac import _check_levels, _mirror
+from fibpaths.contfrac import _mirror
 from fibpaths.kfib import binom, catalan, convolved_binomial, kfib, multinom
 from fibpaths.series import Series, one, zero
 
@@ -86,7 +87,7 @@ def inv_reference(a, m):
 
 
 def excursion_cf_reference(levels, depth, order):
-    _check_levels(levels, depth, order)
+    check_levels(levels, depth, order)
     unit = one(order)
     e = (unit - levels[depth].h).inverse()
     for i in range(depth - 1, -1, -1):
@@ -96,7 +97,7 @@ def excursion_cf_reference(levels, depth, order):
 
 
 def grand_excursion_cf_reference(levels, depth, order):
-    _check_levels(levels, depth, order, primed=True)
+    check_levels(levels, depth, order, primed=True)
     unit = one(order)
     if depth == 0:
         return (unit - levels[0].h).inverse()
@@ -111,7 +112,7 @@ def grand_excursion_cf_reference(levels, depth, order):
 
 
 def meander_cf_reference(levels, depth, order):
-    _check_levels(levels, depth, order)
+    check_levels(levels, depth, order)
     cache: dict = {}
 
     def tail(j):
@@ -149,7 +150,7 @@ def _mirror_shared(levels):
 
 
 def grand_meander_cf_reference(levels, depth, order):
-    _check_levels(levels, depth, order, primed=True)
+    check_levels(levels, depth, order, primed=True)
     mirrored = _mirror_shared(levels)
     e = excursion_cf_reference(levels, depth, order)
     ep = excursion_cf_reference(mirrored, depth, order)

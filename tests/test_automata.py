@@ -1,5 +1,7 @@
 """Chain construction, validation, and the series linear solver."""
 
+import re
+
 import pytest
 
 from fibpaths.automata import (
@@ -13,7 +15,7 @@ from fibpaths.automata import (
     solve_linear_system,
     validate,
 )
-from fibpaths.contfrac import constant_levels, excursion_cf
+from fibpaths.contfrac import CFLevel, constant_levels, excursion_cf
 from fibpaths.series import one, poly, zero
 
 from helpers import ints
@@ -56,6 +58,28 @@ def test_validate_rejects_constant_term_weight():
 def test_validate_rejects_bad_states():
     auto = WeightedAutomaton(2, 5, frozenset({7}), ((0, 3, poly([0, 1], 4)),))
     assert len(validate(auto)) == 3
+
+
+Z = poly([0, 1], 4)
+
+
+@pytest.mark.parametrize(
+    "auto",
+    [
+        WeightedAutomaton(2.0, 0, [0], [(0, 1, Z)]),
+        WeightedAutomaton("2", 0, [0], [(0, 1, Z)]),
+        WeightedAutomaton(2, 0, [0], [(0.0, 1, Z)]),
+        WeightedAutomaton(2, 0, [0], [(0, "1", Z)]),
+        WeightedAutomaton(2, True, [0], [(0, 1, Z)]),
+        WeightedAutomaton(2, 0, [1.0], [(0, 1, Z)]),
+    ],
+    ids=["n_states-float", "n_states-str", "src-float", "dst-str",
+         "initial-bool", "final-float"],
+)
+def test_state_numbers_are_ints(auto):
+    assert len(validate(auto)) == 1
+    with pytest.raises(InvalidAutomaton):
+        solve(auto, 4)
 
 
 def test_solve_rejects_invalid():
@@ -129,6 +153,22 @@ def test_build_chain_shapes():
 def test_build_chain_requires_primed_weights():
     with pytest.raises(InvalidAutomaton):
         build_chain(ChainSpec("bilinear", 2, unit_levels(6, 3)))
+
+
+@pytest.mark.parametrize(
+    "spec, what",
+    [
+        (ChainSpec("linear", 1, [None, None]), "f[0]"),
+        (ChainSpec("linear", 1, [CFLevel(None, Z, Z), CFLevel(Z, Z, Z)]), "f[0]"),
+        (ChainSpec("bilinear", 2, [CFLevel(Z, Z, Z, Z, Z), CFLevel(Z, Z, Z, Z, None, Z),
+                                   CFLevel(Z, Z, Z, Z, Z, Z)]), "g'[1]"),
+    ],
+    ids=["no-level", "no-step", "no-primed-step"],
+)
+def test_build_chain_names_a_missing_weight(spec, what):
+    with pytest.raises(InvalidAutomaton, match="^%s must be a Series, got None$"
+                                               % re.escape(what)):
+        build_chain(spec)
 
 
 def test_build_chain_unknown_kind():

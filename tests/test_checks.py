@@ -5,7 +5,7 @@ import pytest
 
 from fibpaths import brute, contfrac, families
 from fibpaths._checks import DEPTH_METHODS, METHODS
-from fibpaths.automata import ChainSpec, build_chain, solve
+from fibpaths.automata import ChainSpec, build_chain, motzkin_gf, solve
 from fibpaths.brute import BudgetExceeded, count_paths, list_paths, path_counts
 from fibpaths.contfrac import (
     CFLevel,
@@ -31,7 +31,7 @@ from fibpaths.families import (
     verify_methods,
 )
 from fibpaths.kfib import check_k, convolved_binomial, convolved_gf, convolved_sum, kfib
-from fibpaths.series import poly
+from fibpaths.series import one, poly, zero
 
 # order-6 weights: enough for order 4, where the closed forms read 4 + 2; a
 # meander at depth 2 reads levels 0 .. 4 + 2 + 1
@@ -68,6 +68,10 @@ ENTRY_POINTS = [
     (meander_closed, CLOSED_ARGS),
     (grand_meander_closed, CLOSED_ARGS),
     (solve, dict(auto=build_chain(ChainSpec("linear", 2, LEVELS)), order=4)),
+    (poly, dict(coeffs=[1, 2], order=4)),
+    (zero, dict(order=4)),
+    (one, dict(order=4)),
+    (motzkin_gf, dict(order=4)),
 ]
 CHECKED = ("k", "order", "depth", "n_max", "brute_max", "n", "r", "t", "j", "m")
 BAD = [True, 2.0, "3", -1]
@@ -141,15 +145,14 @@ def test_what_the_tracer_patches_is_still_there(monkeypatch):
         assert cached.cache_info().misses >= 1
     assert brute.FAMILIES == families.FAMILIES == tuple(brute.CONSTRAINTS)
     assert check_k(3) == 3
-    # the family table says what the oracle's constraints say
-    for family, (nonneg, end_zero) in brute.CONSTRAINTS.items():
-        _, kind, all_final = families.SHAPES[family]
-        assert (kind == "linear") is nonneg
-        assert all_final is not end_zero
 
-    # gf reaches each contfrac evaluator through the module attribute
+    # gf reaches each family's contfrac evaluator, derived from the family
+    # table, through the module attribute
+    stems = {"fib": "excursion", "grand": "grand_excursion", "prefix": "meander",
+             "grand-prefix": "grand_meander"}
+    assert tuple(stems) == families.FAMILIES
     reached = []
-    for stem, _, _ in families.SHAPES.values():
+    for stem in stems.values():
         for name in (stem + "_closed", stem + "_cf"):
 
             def counting(*args, _name=name, _real=getattr(contfrac, name)):
@@ -157,7 +160,7 @@ def test_what_the_tracer_patches_is_still_there(monkeypatch):
                 return _real(*args)
 
             monkeypatch.setattr(contfrac, name, counting)
-    for family, (stem, _, _) in families.SHAPES.items():
+    for family, stem in stems.items():
         for method in ("closed", "cf"):
             reached.clear()
             gf(family, 2, 6, method)

@@ -162,6 +162,15 @@ def test_seq_refuses_only_depths_below_the_least_exact_one(capsys, family, metho
             assert "--depth %d is below %d" % (least - 1, least) in capsys.readouterr().err
 
 
+def test_seq_refuses_a_depth_for_a_method_without_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["seq", "--family", "fib", "--k", "2", "--n", "5",
+                  "--method", "closed", "--depth", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--depth" in err and "cf and automaton" in err
+
+
 def test_seq_asks_the_least_depth_only_for_a_given_depth(capsys, monkeypatch):
     asked = []
     real = families.least_depth
