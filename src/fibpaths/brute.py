@@ -17,14 +17,12 @@ it knows nothing about series, continued fractions or automata.
 
 from __future__ import annotations
 
-from ._checks import CONSTRAINTS, FAMILIES, check_family, check_k, check_size
+from ._checks import CONSTRAINTS, check_family, check_k, check_size
 from .kfib import kfib
 
 __all__ = [
     "BudgetExceeded",
-    "CONSTRAINTS",
     "COUNT_BUDGET",
-    "FAMILIES",
     "LIST_BUDGET",
     "check_budget",
     "count_paths",

@@ -14,7 +14,8 @@ Methods:
     closed     closed radical generating functions
     cf         depth-truncated continued fractions / meander sums
     automaton  linear solve of the depth-truncated chain automaton
-    formula    coefficient sums over convolved k-Fibonacci numbers
+    formula    [z^t] = sum_s S(s) W(k, s, t) over convolved k-Fibonacci
+               numbers, with S(s) read off the same table (`coeff`)
     brute      weights of the actual paths, summed step by step (budgeted)
 
 Every method is defined for every family, and all five agree exactly;
@@ -37,10 +38,7 @@ __all__ = [
     "METHODS",
     "NonIntegralResult",
     "PathCountReport",
-    "coeff_fib",
-    "coeff_grand",
-    "coeff_grand_prefix",
-    "coeff_prefix",
+    "coeff",
     "default_depth",
     "gf",
     "horizontal_weight",
@@ -120,7 +118,7 @@ def gf(family: str, k: int, order: int | None = None, method: str = "closed",
     elif method == "automaton":
         out = _automaton(family, k, n, depth)
     elif method == "formula":
-        out = Series([FORMULAS[family](k, t) for t in range(n + 1)])
+        out = Series([coeff(family, k, t) for t in range(n + 1)])
     else:
         brute.check_budget("order", n)
         out = Series(brute.path_counts(family, k, n))
@@ -161,79 +159,43 @@ def _automaton(family: str, k: int, order: int, depth: int | None) -> Series:
     return automata.solve(automata.build_chain(spec), order)
 
 
-# -- coefficient-sum formulas -------------------------------------------------
+# -- the coefficient-sum formula ----------------------------------------------
 
 
 def _runs_among(k: int, s: int, t: int) -> int:
     """W(k, s, t) = sum_l C(s+l, l) F^(l)_{k, t-s-l+1}: l >= 0 horizontal
-    runs of total length t - s placed among s unit steps.  Each formula
-    below sums, over the skeleton length s, its unit-step factor times W."""
+    runs of total length m = t - s placed among s unit steps.  A run weighs
+    h = z/(1 - kz - z^2) by its length, so l runs of total length m weigh
+    [z^m] h^l = [z^(m-l)] (1 - kz - z^2)^(-l) = F^(l)_{k, m-l+1}."""
     return sum(binom(s + l, l) * convolved_binomial(k, t - s - l, l)
                for l in range(t - s + 1))
 
 
-def coeff_fib(k: int, t: int) -> int:
-    """[z^t] of the fib family: sum over n returning pairs and m runs of
-    C(m+2n, m) Catalan(n) F^(m)_{k, t-2n-m+1}."""
+# (stays nonnegative, ends at 0) -> S(s), the words of s unit steps U, D
+# that a family of that kind allows: Dyck words, balanced words, ballot
+# prefixes, all words
+_SKELETONS = {
+    (True, True): lambda s: 0 if s % 2 else catalan(s // 2),
+    (False, True): lambda s: 0 if s % 2 else binom(s, s // 2),
+    (True, False): lambda s: binom(s, s // 2),
+    (False, False): lambda s: 2**s,
+}
+
+
+def coeff(family: str, k: int, t: int) -> int:
+    """[z^t] of the family's GF as sum_s S(s) W(k, s, t): each path is a
+    skeleton of s unit steps, S(s) of them allowed by the family's
+    constraints, with horizontal runs of total length t - s among them."""
+    check_family(family)
     check_k(k)
     check_size("t", t)
-    return sum(catalan(n) * _runs_among(k, 2 * n, t) for n in range(t // 2 + 1))
-
-
-def coeff_grand(k: int, t: int) -> int:
-    """[z^t] of the grand family; t = 0 is 1 by convention (empty path).
-    Each (n, m) term carries the integer 2^n n/(n+2m) C(n+2m, m)."""
-    check_k(k)
-    check_size("t", t)
-    total = _runs_among(k, 0, t)  # n = 0, runs alone: F_{k+1,t}, and 1 at t = 0
-    for j in range(1, t // 2 + 1):  # skeleton length s = 2n + 2m = 2j
-        factor = 0
-        for n in range(1, j + 1):
-            m = j - n
-            base, r = divmod(2**n * n * binom(n + 2 * m, m), n + 2 * m)
-            if r:
-                raise NonIntegralResult(
-                    "grand factor k=%d t=%d n=%d m=%d is not an integer" % (k, t, n, m)
-                )
-            factor += base
-        total += factor * _runs_among(k, 2 * j, t)
-    return total
-
-
-def coeff_prefix(k: int, t: int) -> int:
-    """[z^t] of the prefix family, a ballot-style triple sum.  Each (n, m)
-    term carries the integer (n+1)/(n+m+1) C(n+2m, m); with C(n+2m+l, l)
-    that is (n+1)/(n+m+1) times the multinomial (n+2m+l; m, l, m+n)."""
-    check_k(k)
-    check_size("t", t)
+    skeletons = _SKELETONS[CONSTRAINTS[family]]
     total = 0
-    for s in range(t + 1):  # skeleton length s = n + 2m
-        factor = 0
-        for m in range(s // 2 + 1):
-            n = s - 2 * m
-            pref, r = divmod((n + 1) * binom(n + 2 * m, m), n + m + 1)
-            if r:
-                raise NonIntegralResult(
-                    "prefix factor k=%d t=%d n=%d m=%d is not an integer" % (k, t, n, m)
-                )
-            factor += pref
-        total += factor * _runs_among(k, s, t)
+    for s in range(t + 1):
+        count = skeletons(s)
+        if count:
+            total += count * _runs_among(k, s, t)
     return total
-
-
-def coeff_grand_prefix(k: int, t: int) -> int:
-    """[z^t] of the grand-prefix family, sum over s <= t of 2^s W(k, s, t):
-    its GF 1/(1 - 2z - h), with h = z/(1 - kz - z^2) the weight of one run,
-    is sum_{s,l} C(s+l, l) (2z)^s h^l by s unit steps and l runs, and
-    [z^(t-s)] h^l = [z^(t-s-l)] (1 - kz - z^2)^(-l) = F^(l)_{k, t-s-l+1}."""
-    check_k(k)
-    check_size("t", t)
-    return sum(2**s * _runs_among(k, s, t) for s in range(t + 1))
-
-
-# family -> its coefficient-sum formula (k, t) -> [z^t]
-FORMULAS = {"fib": coeff_fib, "grand": coeff_grand, "prefix": coeff_prefix,
-            "grand-prefix": coeff_grand_prefix}
 
 
 # -- reports ------------------------------------------------------------------

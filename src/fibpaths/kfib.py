@@ -1,35 +1,27 @@
 """k-Fibonacci numbers and their convolutions.
 
 F_{k,0} = 0, F_{k,1} = 1, F_{k,n+1} = k F_{k,n} + F_{k,n-1}; k=1 gives the
-Fibonacci numbers, k=2 the Pell numbers.  The r-fold convolved numbers are
-the coefficients of (1 - k x - x^2)^(-r) and can be computed three
-independent ways (series expansion, nested convolution sums, a binomial
-closed form), which the test suite plays against each other.
+Fibonacci numbers, k=2 the Pell numbers.  The r-fold convolved numbers
+F^(r)_{k,j+1} are the coefficients of (1 - k x - x^2)^(-r).  The formula
+method reads them from a binomial closed form; nested convolution sums give
+them a second way, which the test suite plays against the first and against
+the series expansion.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb
 
 from ._checks import check_k, check_size
-from .series import Series, one, poly
 
 __all__ = [
-    "IndexMismatch",
     "binom",
     "catalan",
-    "check_k",
     "convolved_binomial",
-    "convolved_gf",
     "convolved_sum",
     "kfib",
-    "multinom",
 ]
-
-
-class IndexMismatch(ValueError):
-    """Multinomial parts that do not sum to the top index."""
 
 
 def kfib(k: int, n: int) -> int:
@@ -40,17 +32,6 @@ def kfib(k: int, n: int) -> int:
     for _ in range(n):
         a, b = b, k * b + a
     return a
-
-
-def convolved_gf(k: int, r: int, order: int) -> Series:
-    """(1 - k x - x^2)^(-r) as a series; its coefficient of x^j is the
-    r-fold convolved number F^(r)_{k,j+1}.  r = 0 gives the series 1."""
-    check_k(k)
-    check_size("r", r)
-    check_size("order", order)
-    if r == 0:
-        return one(order)
-    return poly([1, -k, -1], order).inverse() ** r
 
 
 # typed: True or 2.0 must not hit the entry cached for 1 or 2 and skip the checks
@@ -94,13 +75,3 @@ def binom(n: int, j: int) -> int:
     if j < 0 or j > n:
         return 0
     return comb(n, j)
-
-
-def multinom(n: int, parts) -> int:
-    """Multinomial coefficient n! / prod(p!); parts must sum to n."""
-    parts = tuple(parts)
-    if any(p < 0 for p in parts) or sum(parts) != n:
-        raise IndexMismatch(
-            "parts %r do not form a weak composition of %d" % (parts, n)
-        )
-    return factorial(n) // prod(factorial(p) for p in parts)

@@ -1,6 +1,7 @@
 """Truncated formal power series with exact rational coefficients.
 
-A Series stores the coefficients of z^0 .. z^order as Fractions.  All
+A Series stores the coefficients of z^0 .. z^order as Fractions, built
+from ints or Fractions only (a float or a string raises TypeError).  All
 arithmetic is exact; binary operations truncate to the smaller operand
 order, so every retained coefficient of a result is the true coefficient
 of the corresponding formal operation.  The reciprocal of an integer series
@@ -74,6 +75,10 @@ def _as_fraction(x):
     return None
 
 
+def _bad_coefficient(c):
+    raise TypeError("a Series coefficient must be an int or a Fraction, got %r" % (c,))
+
+
 def _unit_integral(unit, *others):
     """The numerators of `unit` and of each of `others` as int lists when
     unit[0] is 1 or -1 and every coefficient is integral; None otherwise."""
@@ -90,7 +95,9 @@ class Series:
 
     def __init__(self, coeffs):
         cs = tuple(
-            c if isinstance(c, Fraction) else Fraction(c) for c in coeffs
+            c if isinstance(c, Fraction)
+            else Fraction(c) if isinstance(c, int) else _bad_coefficient(c)
+            for c in coeffs
         )
         if not cs:
             raise ValueError("a Series needs at least its constant coefficient")

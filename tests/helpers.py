@@ -1,13 +1,13 @@
 """Shared helpers for the test suite."""
 
 from fractions import Fraction
+from math import factorial, prod
 
-from fibpaths._checks import check_levels
+from fibpaths._checks import CONSTRAINTS, check_k, check_levels, check_size
 from fibpaths.automata import solve_linear_system
-from fibpaths.brute import CONSTRAINTS
 from fibpaths.contfrac import _mirror
-from fibpaths.kfib import binom, catalan, convolved_binomial, kfib, multinom
-from fibpaths.series import Series, one, zero
+from fibpaths.kfib import binom, catalan, convolved_binomial, kfib
+from fibpaths.series import Series, one, poly, zero
 
 
 def ints(series):
@@ -40,6 +40,45 @@ def long_division(num, den, m):
                 rem[i] -= q * d
         rem = rem[1:] + [Fraction(0)]
     return out
+
+
+# -- independent references ------------------------------------------------------
+#
+# No count needs these; they check the package's own routes against a
+# second derivation.
+
+
+def convolved_gf(k, r, order):
+    """(1 - k x - x^2)^(-r) as a series; its coefficient of x^j is the
+    r-fold convolved number F^(r)_{k,j+1}.  r = 0 gives the series 1."""
+    check_k(k)
+    check_size("r", r)
+    check_size("order", order)
+    if r == 0:
+        return one(order)
+    return poly([1, -k, -1], order).inverse() ** r
+
+
+def motzkin_gf(order):
+    """Closed Motzkin GF (1 - z - sqrt(1 - 2z - 3z^2)) / (2 z^2), the
+    reference for the chain solver on unit-weight chains."""
+    w = check_size("order", order) + 2
+    root = poly([1, -2, -3], w).sqrt()
+    return ((poly([1, -1], w) - root) / poly([0, 0, 2], w)).truncate(order)
+
+
+class IndexMismatch(ValueError):
+    """Multinomial parts that do not sum to the top index."""
+
+
+def multinom(n, parts):
+    """Multinomial coefficient n! / prod(p!); parts must sum to n."""
+    parts = tuple(parts)
+    if any(p < 0 for p in parts) or sum(parts) != n:
+        raise IndexMismatch(
+            "parts %r do not form a weak composition of %d" % (parts, n)
+        )
+    return factorial(n) // prod(factorial(p) for p in parts)
 
 
 # -- slow references for the fast paths -----------------------------------------

@@ -12,13 +12,13 @@ from fractions import Fraction
 import hypothesis
 
 from fibpaths import brute, gf, poly, zero
-from fibpaths.automata import ChainSpec, build_chain, motzkin_gf, solve
+from fibpaths.automata import ChainSpec, build_chain, solve
 from fibpaths.contfrac import CFLevel
 from fibpaths.families import FAMILIES, METHODS, verify_methods
-from fibpaths.kfib import convolved_binomial, convolved_gf, convolved_sum
+from fibpaths.kfib import convolved_binomial, convolved_sum
 from fibpaths.tables import PUBLISHED, row_diff
 
-from helpers import ints, long_division
+from helpers import convolved_gf, ints, long_division, motzkin_gf
 
 MOTZKIN = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835]
 

@@ -10,7 +10,6 @@ from fibpaths.automata import (
     SingularSystem,
     WeightedAutomaton,
     build_chain,
-    motzkin_gf,
     solve,
     solve_linear_system,
     validate,
@@ -18,7 +17,7 @@ from fibpaths.automata import (
 from fibpaths.contfrac import CFLevel, constant_levels, excursion_cf
 from fibpaths.series import one, poly, zero
 
-from helpers import ints
+from helpers import ints, motzkin_gf
 
 MOTZKIN = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835]
 

@@ -2,14 +2,8 @@
 
 import pytest
 
-from fibpaths.brute import (
-    COUNT_BUDGET,
-    FAMILIES,
-    BudgetExceeded,
-    count_paths,
-    list_paths,
-    path_counts,
-)
+from fibpaths._checks import FAMILIES
+from fibpaths.brute import COUNT_BUDGET, BudgetExceeded, count_paths, list_paths, path_counts
 
 from helpers import count_paths_reference
 

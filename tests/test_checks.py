@@ -4,8 +4,8 @@ and the names the perfbench tracer patches stay where it looks for them."""
 import pytest
 
 from fibpaths import brute, contfrac, families
-from fibpaths._checks import DEPTH_METHODS, METHODS
-from fibpaths.automata import ChainSpec, build_chain, motzkin_gf, solve
+from fibpaths._checks import CONSTRAINTS, DEPTH_METHODS, FAMILIES, METHODS, check_k
+from fibpaths.automata import ChainSpec, build_chain, solve
 from fibpaths.brute import BudgetExceeded, count_paths, list_paths, path_counts
 from fibpaths.contfrac import (
     CFLevel,
@@ -19,10 +19,7 @@ from fibpaths.contfrac import (
     meander_closed,
 )
 from fibpaths.families import (
-    coeff_fib,
-    coeff_grand,
-    coeff_grand_prefix,
-    coeff_prefix,
+    coeff,
     default_depth,
     gf,
     horizontal_weight,
@@ -30,8 +27,10 @@ from fibpaths.families import (
     sequence,
     verify_methods,
 )
-from fibpaths.kfib import check_k, convolved_binomial, convolved_gf, convolved_sum, kfib
+from fibpaths.kfib import convolved_binomial, convolved_sum, kfib
 from fibpaths.series import one, poly, zero
+
+from helpers import convolved_gf, motzkin_gf
 
 # order-6 weights: enough for order 4, where the closed forms read 4 + 2; a
 # meander at depth 2 reads levels 0 .. 4 + 2 + 1
@@ -40,7 +39,9 @@ LEVELS = [CFLevel(STEP, STEP, STEP, STEP, STEP, STEP)] * 8
 CF_ARGS = dict(levels=LEVELS, depth=2, order=4)
 CLOSED_ARGS = dict(f=STEP, g=STEP, h=STEP, order=4)
 
-# entry point -> arguments it accepts; each k or size in them is replaced in turn
+# entry point -> arguments it accepts; each k or size in them is replaced in turn.
+# convolved_gf and motzkin_gf are test references (helpers.py); they keep the
+# contract too, so that a bad argument cannot pass for a reference value.
 ENTRY_POINTS = [
     (gf, dict(family="fib", k=2, order=4, method="cf", depth=3)),
     (sequence, dict(family="fib", k=2, n_max=4, method="automaton", depth=3)),
@@ -49,10 +50,7 @@ ENTRY_POINTS = [
     (convolved_gf, dict(k=2, r=2, order=4)),
     (convolved_sum, dict(k=2, m=3, r=1)),
     (convolved_binomial, dict(k=2, j=3, r=1)),
-    (coeff_fib, dict(k=2, t=4)),
-    (coeff_grand, dict(k=2, t=4)),
-    (coeff_grand_prefix, dict(k=2, t=4)),
-    (coeff_prefix, dict(k=2, t=4)),
+    *[(coeff, dict(family=family, k=2, t=4)) for family in FAMILIES],
     (count_paths, dict(family="fib", k=2, n=4)),
     (path_counts, dict(family="fib", k=2, n_max=4)),
     (list_paths, dict(family="fib", k=2, n=4)),
@@ -77,10 +75,18 @@ CHECKED = ("k", "order", "depth", "n_max", "brute_max", "n", "r", "t", "j", "m")
 BAD = [True, 2.0, "3", -1]
 
 
+def name(fn, good):
+    """The test id of an entry point; coeff, run once per family, is named
+    coeff_<family>."""
+    if fn is coeff:
+        return "coeff_" + good["family"].replace("-", "_")
+    return fn.__name__
+
+
 @pytest.mark.parametrize(
     "fn, good, arg, bad",
     [
-        pytest.param(fn, good, arg, bad, id="%s-%s=%r" % (fn.__name__, arg, bad))
+        pytest.param(fn, good, arg, bad, id="%s-%s=%r" % (name(fn, good), arg, bad))
         for fn, good in ENTRY_POINTS
         for arg in good
         if arg in CHECKED
@@ -118,6 +124,7 @@ def test_only_the_depth_methods_have_a_depth(method):
         (gf, ("fib", 2, 4, "bogus")),
         (least_depth, ("nope", 5, "automaton")),
         (least_depth, ("fib", 5, "bogus")),
+        (coeff, ("nope", 2, 4)),
     ],
 )
 def test_unknown_family_or_method_raises_value_error_naming_it(fn, args):
@@ -143,7 +150,7 @@ def test_what_the_tracer_patches_is_still_there(monkeypatch):
         cached.cache_clear()
         cached(2, 3, 1)
         assert cached.cache_info().misses >= 1
-    assert brute.FAMILIES == families.FAMILIES == tuple(brute.CONSTRAINTS)
+    assert families.FAMILIES == FAMILIES == tuple(CONSTRAINTS)
     assert check_k(3) == 3
 
     # gf reaches each family's contfrac evaluator, derived from the family

@@ -1,18 +1,17 @@
 """Family dispatch: every method, counts, reports, and cross-checks."""
 
 import json
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibpaths import brute, families
+from fibpaths._checks import CONSTRAINTS
 from fibpaths.families import (
     METHODS,
     PathCountReport,
-    coeff_fib,
-    coeff_grand,
-    coeff_grand_prefix,
-    coeff_prefix,
+    coeff,
     default_depth,
     gf,
     horizontal_weight,
@@ -70,7 +69,7 @@ def test_gf_refuses_a_depth_for_a_method_without_one(method):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_coeff_grand_prefix_matches_brute(k):
     want = brute.path_counts("grand-prefix", k, 40)
-    assert [coeff_grand_prefix(k, t) for t in range(41)] == want
+    assert [coeff("grand-prefix", k, t) for t in range(41)] == want
 
 
 @pytest.mark.parametrize("family", families.FAMILIES)
@@ -98,26 +97,48 @@ def test_gf_rejects_k_that_is_not_an_int(k):
 # -- coefficient formulas ------------------------------------------------------
 
 
+@pytest.mark.parametrize("family", families.FAMILIES)
+def test_skeleton_counts_match_the_up_down_words(family):
+    # S(s) against the words of s steps U = +1, D = -1 that the family's
+    # row of CONSTRAINTS lets through
+    nonneg, ends_at_0 = CONSTRAINTS[family]
+    skeletons = families._SKELETONS[nonneg, ends_at_0]
+    for s in range(15):
+        allowed = 0
+        for word in product((1, -1), repeat=s):
+            heights = list(accumulate(word, initial=0))
+            if (min(heights) >= 0 or not nonneg) and (heights[-1] == 0 or not ends_at_0):
+                allowed += 1
+        assert skeletons(s) == allowed, s
+
+
+@pytest.mark.parametrize("family", families.FAMILIES)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_coeff_matches_path_counts(family, k):
+    want = brute.path_counts(family, k, 60)
+    assert [coeff(family, k, t) for t in range(61)] == want
+
+
 def test_coeff_fib_figure_value():
-    assert coeff_fib(2, 3) == 13
+    assert coeff("fib", 2, 3) == 13
 
 
 def test_coeff_grand_figure_value():
-    assert coeff_grand(2, 3) == 16
+    assert coeff("grand", 2, 3) == 16
 
 
 def test_coeff_prefix_figure_value():
-    assert coeff_prefix(2, 3) == 26
+    assert coeff("prefix", 2, 3) == 26
 
 
 def test_coeff_grand_empty_path():
-    assert [coeff_grand(k, 0) for k in (1, 2, 3, 4)] == [1, 1, 1, 1]
+    assert [coeff("grand", k, 0) for k in (1, 2, 3, 4)] == [1, 1, 1, 1]
 
 
 def test_coeff_spot_values():
-    assert coeff_fib(3, 4) == 89
-    assert coeff_grand(2, 4) == 63
-    assert coeff_prefix(1, 4) == 62
+    assert coeff("fib", 3, 4) == 89
+    assert coeff("grand", 2, 4) == 63
+    assert coeff("prefix", 1, 4) == 62
 
 
 # -- agreement of all five methods --------------------------------------------
@@ -240,8 +261,8 @@ def test_verify_methods_passes_depth_only_to_cf_and_automaton(monkeypatch):
 
 
 def test_verify_methods_compares_the_grand_prefix_formula(monkeypatch):
-    monkeypatch.setitem(families.FORMULAS, "grand-prefix",
-                        lambda k, t: coeff_grand_prefix(k, t) + (t == 4))
+    monkeypatch.setattr(families, "coeff",
+                        lambda family, k, t: coeff(family, k, t) + (t == 4))
     got = verify_methods("grand-prefix", 2, 6, brute_max=2)
     assert got == [("grand-prefix", 2, 4, "closed", "formula", 181, 182)]
 

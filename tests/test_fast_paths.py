@@ -19,13 +19,7 @@ from fibpaths.contfrac import (
     grand_meander_cf,
     meander_cf,
 )
-from fibpaths.families import (
-    coeff_fib,
-    coeff_grand,
-    coeff_prefix,
-    default_depth,
-    horizontal_weight,
-)
+from fibpaths.families import coeff, default_depth, horizontal_weight
 from fibpaths.series import Series, poly, zero
 
 from helpers import (
@@ -123,9 +117,9 @@ def test_nonconstant_chains_match_full_order(name, first):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_formula_sums_match_fraction_sums(k):
     for t in range(31):
-        assert coeff_fib(k, t) == coeff_fib_reference(k, t), t
-        assert coeff_grand(k, t) == coeff_grand_reference(k, t), t
-        assert coeff_prefix(k, t) == coeff_prefix_reference(k, t), t
+        assert coeff("fib", k, t) == coeff_fib_reference(k, t), t
+        assert coeff("grand", k, t) == coeff_grand_reference(k, t), t
+        assert coeff("prefix", k, t) == coeff_prefix_reference(k, t), t
 
 
 @pytest.mark.parametrize("name", sorted(EVALUATORS))

@@ -5,19 +5,10 @@ from math import prod
 
 import pytest
 
-from fibpaths.kfib import (
-    IndexMismatch,
-    binom,
-    catalan,
-    convolved_binomial,
-    convolved_gf,
-    convolved_sum,
-    kfib,
-    multinom,
-)
+from fibpaths.kfib import binom, catalan, convolved_binomial, convolved_sum, kfib
 from fibpaths.series import poly
 
-from helpers import ints
+from helpers import IndexMismatch, convolved_gf, ints, multinom
 
 
 def compositions_product(k, m, r):

@@ -1,6 +1,7 @@
 """Series construction, arithmetic and error contracts."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,17 @@ def test_poly_own_degree_without_order():
 def test_poly_rejects_empty():
     with pytest.raises(ValueError):
         poly([])
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, "1/3", "3", None, 1j])
+def test_a_coefficient_that_is_no_exact_number_raises_type_error(bad):
+    with pytest.raises(TypeError, match="^a Series coefficient must be an int or a "
+                                        "Fraction, got %s$" % re.escape(repr(bad))):
+        Series([1, bad])
+    with pytest.raises(TypeError):
+        poly([bad], 3)
+    with pytest.raises(TypeError):  # a scalar operand too
+        poly([1, 1], 3) * bad
 
 
 def test_coefficient_and_range():
