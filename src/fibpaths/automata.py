@@ -93,6 +93,11 @@ def _is_state(q, n: int) -> bool:
 
 def validate(auto: WeightedAutomaton) -> list[str]:
     """Structural violations as human-readable strings (empty when valid)."""
+    return _problems(auto, 0)
+
+
+def _problems(auto: WeightedAutomaton, order: int) -> list[str]:
+    """`validate` with each weight checked at `order`: one pass for `solve`."""
     try:
         n = check_size("n_states", auto.n_states)
     except ValueError as exc:
@@ -110,7 +115,7 @@ def validate(auto: WeightedAutomaton) -> list[str]:
             out.append("transition %d endpoints (%r, %r) are not state numbers" % (idx, src, dst))
             continue
         try:
-            check_weight(w, "transition %d (%d->%d) weight" % (idx, src, dst), 0)
+            check_weight(w, "transition %d (%d->%d) weight" % (idx, src, dst), order)
         except ValueError as exc:
             out.append(str(exc))
     return out
@@ -210,17 +215,10 @@ def _state_orders(auto: WeightedAutomaton, order: int) -> list[int]:
 def solve(auto: WeightedAutomaton, order: int) -> Series:
     """Generating function of the initial state, exact through `order`,
     carrying each state only as far as the module's precision rule needs.
-    Every weight must carry at least `order` coefficients: a shorter weight
-    is a truncation whose tail is unknown (see `_checks.check_weight`)."""
-    check_size("order", order)
-    problems = validate(auto)
+    Every weight must carry `order` coefficients (`_checks.check_weight`)."""
+    problems = _problems(auto, check_size("order", order))
     if problems:
         raise InvalidAutomaton("; ".join(problems))
-    try:
-        for src, dst, w in auto.transitions:
-            check_weight(w, "weight on %d->%d" % (src, dst), order)
-    except ValueError as exc:
-        raise InvalidAutomaton(str(exc)) from None
     n = auto.n_states
     r = _state_orders(auto, order)
     rows = [{q: one(r[q])} for q in range(n)]

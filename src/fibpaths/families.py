@@ -65,38 +65,34 @@ def _level(k: int, order: int) -> contfrac.CFLevel:
     return contfrac.CFLevel(step, step, h, step, step, h)
 
 
+def _depth_is_order(family: str, order: int, method: str) -> bool:
+    """Checks the arguments of a depth rule and says whether the depth must
+    be `order`: the automaton of a meander family has every state final, and
+    the all-up walk escapes a depth-s chain after s steps."""
+    check_family(family)
+    check_size("order", order)
+    return check_depth_method(method) == "automaton" and not CONSTRAINTS[family][1]
+
+
 def default_depth(family: str, order: int, method: str) -> int:
     """A truncation depth that keeps the result exact through `order`, for
     a method in DEPTH_METHODS; the others take no depth.
 
     It is sufficient, not the least (see `least_depth`): the CF evaluators
     are relative to each base level, so ceil(order/2)+1 levels always
-    suffice.  The automaton truncates the chain absolutely; with every state
-    final the all-up walk escapes a depth-s chain after s steps, so the
-    meander families need depth = order there.
+    suffice; the automaton of a meander family needs depth = order.
     """
-    check_family(family)
-    check_size("order", order)
-    check_depth_method(method)
-    if method == "automaton" and not CONSTRAINTS[family][1]:
-        return order
-    return (order + 1) // 2 + 1
+    return order if _depth_is_order(family, order, method) else (order + 1) // 2 + 1
 
 
 def least_depth(family: str, order: int, method: str) -> int:
     """The least truncation depth that keeps the result exact through `order`.
 
     A depth-s truncation is exact through z^(2s+1), so order // 2 levels
-    suffice, except for the automaton of the meander families: its chains
-    have every state final and are exact only through z^s, so it needs
+    suffice, except for the automaton of a meander family, which needs
     depth = order.  One depth less gives a wrong count at z^order.
     """
-    check_family(family)
-    check_size("order", order)
-    check_depth_method(method)
-    if method == "automaton" and not CONSTRAINTS[family][1]:
-        return order
-    return order // 2
+    return order if _depth_is_order(family, order, method) else order // 2
 
 
 def gf(family: str, k: int, order: int | None = None, method: str = "closed",

@@ -1,7 +1,8 @@
 """Truncated formal power series with exact rational coefficients.
 
 A Series stores the coefficients of z^0 .. z^order as Fractions, built
-from ints or Fractions only (a float or a string raises TypeError).  All
+from ints or Fractions only (a bool, a float or a string raises TypeError,
+as a scalar operand too; an index or exponent must be an int).  All
 arithmetic is exact; binary operations truncate to the smaller operand
 order, so every retained coefficient of a result is the true coefficient
 of the corresponding formal operation.  The reciprocal of an integer series
@@ -67,16 +68,21 @@ class OrderExceeded(SeriesError):
     """Coefficient index outside the stored range."""
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return None
-
-
-def _bad_coefficient(c):
+def _exact(c):
+    """The number rule of a Series, for coefficients and scalars alike: `c`
+    as a Fraction when it is an int (not a bool) or a Fraction, else TypeError."""
+    if isinstance(c, int) and not isinstance(c, bool):
+        return Fraction(c)
+    if isinstance(c, Fraction):
+        return c
     raise TypeError("a Series coefficient must be an int or a Fraction, got %r" % (c,))
+
+
+def _index(n):
+    """An index, order or exponent of a Series is an int, not a bool."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError("a Series index or exponent must be an int, got %r" % (n,))
+    return n
 
 
 def _unit_integral(unit, *others):
@@ -94,11 +100,7 @@ class Series:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs):
-        cs = tuple(
-            c if isinstance(c, Fraction)
-            else Fraction(c) if isinstance(c, int) else _bad_coefficient(c)
-            for c in coeffs
-        )
+        cs = tuple(c if isinstance(c, Fraction) else _exact(c) for c in coeffs)
         if not cs:
             raise ValueError("a Series needs at least its constant coefficient")
         self._coeffs = cs
@@ -109,7 +111,7 @@ class Series:
 
     def coefficient(self, n: int) -> Fraction:
         """Coefficient of z^n; OrderExceeded outside 0..order."""
-        if n < 0 or n > self.order:
+        if _index(n) < 0 or n > self.order:
             raise OrderExceeded(
                 "coefficient %d of a series of order %d" % (n, self.order)
             )
@@ -134,7 +136,7 @@ class Series:
 
     def truncate(self, order: int) -> "Series":
         """Drop coefficients beyond the given order (never extends)."""
-        if order < 0 or order > self.order:
+        if _index(order) < 0 or order > self.order:
             raise OrderExceeded(
                 "cannot truncate order-%d series to order %d" % (self.order, order)
             )
@@ -150,10 +152,10 @@ class Series:
             return Series(
                 [self._coeffs[i] + other._coeffs[i] for i in range(m)]
             )
-        s = _as_fraction(other)
-        if s is None:
+        try:
+            return Series((self._coeffs[0] + _exact(other),) + self._coeffs[1:])
+        except TypeError:
             return NotImplemented
-        return Series((self._coeffs[0] + s,) + self._coeffs[1:])
 
     __radd__ = __add__
 
@@ -166,30 +168,31 @@ class Series:
             return Series(
                 [self._coeffs[i] - other._coeffs[i] for i in range(m)]
             )
-        s = _as_fraction(other)
-        if s is None:
+        try:
+            return Series((self._coeffs[0] - _exact(other),) + self._coeffs[1:])
+        except TypeError:
             return NotImplemented
-        return Series((self._coeffs[0] - s,) + self._coeffs[1:])
 
     def __rsub__(self, other):
-        s = _as_fraction(other)
-        if s is None:
+        try:
+            return Series((_exact(other) - self._coeffs[0],) + tuple(-c for c in self._coeffs[1:]))
+        except TypeError:
             return NotImplemented
-        return Series((s - self._coeffs[0],) + tuple(-c for c in self._coeffs[1:]))
 
     def __mul__(self, other):
         if isinstance(other, Series):
             m = min(len(self._coeffs), len(other._coeffs))
             return Series(kernels.mul(self._coeffs, other._coeffs, m))
-        s = _as_fraction(other)
-        if s is None:
+        try:
+            s = _exact(other)
+        except TypeError:
             return NotImplemented
         return Series([s * c for c in self._coeffs])
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
+        if _index(n) < 0:
             return NotImplemented
         result = one(self.order)
         base = self
@@ -224,8 +227,9 @@ class Series:
         which waits for item 1).
         """
         if not isinstance(other, Series):
-            s = _as_fraction(other)
-            if s is None:
+            try:
+                s = _exact(other)
+            except TypeError:
                 return NotImplemented
             if not s:
                 raise ZeroDivisionError("division of a series by scalar 0")
@@ -286,15 +290,11 @@ def poly(coeffs, order: int | None = None) -> Series:
     explicit one is a size (see `_checks.check_size`).  Extra coefficients
     beyond the requested order are dropped.
     """
-    cs = list(coeffs)
-    if not cs:
-        raise ValueError("poly() needs at least one coefficient")
+    s = Series(coeffs)
     if order is None:
-        return Series(cs)
-    check_size("order", order)
-    if len(cs) > order + 1:
-        cs = cs[: order + 1]
-    return Series(cs + [0] * (order + 1 - len(cs)))
+        return s
+    cs = s.coefficients()[: check_size("order", order) + 1]
+    return Series(cs + (0,) * (order + 1 - len(cs)))
 
 
 def zero(order: int) -> Series:

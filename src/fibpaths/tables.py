@@ -8,6 +8,7 @@ path); the other rows start at length 0.
 from __future__ import annotations
 
 from . import families
+from ._checks import check_family, check_k
 
 __all__ = ["PUBLISHED", "row_diff"]
 
@@ -51,7 +52,9 @@ PUBLISHED = {
 def row_diff(family: str, k: int) -> list:
     """Recompute one published row with the closed method; returns
     (n, expected, got) cell triples."""
-    rows, start = PUBLISHED[family]
+    rows, start = PUBLISHED[check_family(family)]
+    if check_k(k) not in rows:
+        raise ValueError("k must be in %s for a published row, got %r" % (sorted(rows), k))
     expected = rows[k]
     n_max = start + len(expected) - 1
     got = families.sequence(family, k, n_max, "closed").counts[start:]

@@ -68,10 +68,11 @@ def test_five_method_agreement_wide():
 def test_closed_form_algebraic_identities():
     """The closed forms satisfy their defining polynomial equations mod z^65.
 
-    With b = 1 - kz - z^2 (so the loop weight is z/b) and a = b - z:
-    the excursion GF T solves z^2 b T^2 - a T + b = 0, the grand
-    excursion GF satisfies (a^2 - 4 z^2 b^2) T^2 = b^2, and the
-    unconstrained GF is b over a cubic.
+    With b = 1 - kz - z^2 (so the loop weight is z/b), a = b - z and the
+    cubic c = 1 - (k+3)z + (2k-1)z^2 + 2z^3: the excursion GF T solves
+    z^2 b T^2 - a T + b = 0, the grand excursion GF G satisfies
+    (a^2 - 4 z^2 b^2) G^2 = b^2, the prefix GF P satisfies c P = b (1 - zT),
+    and the unconstrained GF Q satisfies c Q = b.
     """
     w = 64
     for k in (1, 2, 3, 4):
@@ -83,8 +84,9 @@ def test_closed_form_algebraic_identities():
         g = gf("grand", k, w)
         zb = z * b
         assert (a * a - 4 * zb * zb) * g * g == b * b, k
-        p = gf("grand-prefix", k, w)
-        assert poly([1, -(k + 3), 2 * k - 1, 2], w) * p == b, k
+        c = poly([1, -(k + 3), 2 * k - 1, 2], w)
+        assert c * gf("prefix", k, w) == b * (1 - z * t), k
+        assert c * gf("grand-prefix", k, w) == b, k
     _verdict("closed forms satisfy their algebraic equations mod z^65")
 
 

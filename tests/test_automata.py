@@ -4,6 +4,8 @@ import re
 
 import pytest
 
+from fibpaths import automata
+from fibpaths._checks import check_weight
 from fibpaths.automata import (
     ChainSpec,
     InvalidAutomaton,
@@ -92,6 +94,29 @@ def test_solve_rejects_short_weights():
     auto = WeightedAutomaton(1, 0, frozenset({0}), ((0, 0, poly([0, 1], 1)),))
     with pytest.raises(InvalidAutomaton):
         solve(auto, 8)
+
+
+def test_solve_names_a_short_weight():
+    # one pass names the weight as validate does, with the order solve reads
+    auto = WeightedAutomaton(2, 0, {0}, ((0, 1, poly([0, 1], 8)), (1, 0, poly([0, 1], 3))))
+    with pytest.raises(InvalidAutomaton, match=r"^transition 1 \(1->0\) weight must have "
+                                               r"order >= 8, got 3$"):
+        solve(auto, 8)
+    assert validate(auto) == []
+
+
+def test_solve_checks_each_weight_once(monkeypatch):
+    seen = []
+
+    def counting(w, what, order):
+        seen.append((what, order))
+        return check_weight(w, what, order)
+
+    auto = motzkin_chain(6, 3)
+    monkeypatch.setattr(automata, "check_weight", counting)
+    solve(auto, 6)
+    assert seen == [("transition %d (%d->%d) weight" % (i, src, dst), 6)
+                    for i, (src, dst, _) in enumerate(auto.transitions)]
 
 
 def test_solve_motzkin_chain():

@@ -29,6 +29,7 @@ from fibpaths.families import (
 )
 from fibpaths.kfib import convolved_binomial, convolved_sum, kfib
 from fibpaths.series import one, poly, zero
+from fibpaths.tables import row_diff
 
 from helpers import convolved_gf, motzkin_gf
 
@@ -70,6 +71,7 @@ ENTRY_POINTS = [
     (zero, dict(order=4)),
     (one, dict(order=4)),
     (motzkin_gf, dict(order=4)),
+    (row_diff, dict(family="fib", k=2)),
 ]
 CHECKED = ("k", "order", "depth", "n_max", "brute_max", "n", "r", "t", "j", "m")
 BAD = [True, 2.0, "3", -1]
@@ -125,6 +127,7 @@ def test_only_the_depth_methods_have_a_depth(method):
         (least_depth, ("nope", 5, "automaton")),
         (least_depth, ("fib", 5, "bogus")),
         (coeff, ("nope", 2, 4)),
+        (row_diff, ("nope", 2)),
     ],
 )
 def test_unknown_family_or_method_raises_value_error_naming_it(fn, args):

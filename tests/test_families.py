@@ -66,12 +66,6 @@ def test_gf_refuses_a_depth_for_a_method_without_one(method):
         gf("fib", 2, 10, method, depth=0)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_coeff_grand_prefix_matches_brute(k):
-    want = brute.path_counts("grand-prefix", k, 40)
-    assert [coeff("grand-prefix", k, t) for t in range(41)] == want
-
-
 @pytest.mark.parametrize("family", families.FAMILIES)
 def test_gf_brute_at_the_default_order(family):
     got = gf(family, 3, method="brute")

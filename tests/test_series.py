@@ -41,15 +41,29 @@ def test_poly_rejects_empty():
         poly([])
 
 
-@pytest.mark.parametrize("bad", [0.1, 2.0, "1/3", "3", None, 1j])
+@pytest.mark.parametrize("bad", [0.1, 2.0, "1/3", "3", None, 1j, True])
 def test_a_coefficient_that_is_no_exact_number_raises_type_error(bad):
     with pytest.raises(TypeError, match="^a Series coefficient must be an int or a "
                                         "Fraction, got %s$" % re.escape(repr(bad))):
         Series([1, bad])
     with pytest.raises(TypeError):
         poly([bad], 3)
-    with pytest.raises(TypeError):  # a scalar operand too
-        poly([1, 1], 3) * bad
+    s = poly([1, 1], 3)
+    # a scalar operand too, on either side of every operator
+    for use in (lambda: s + bad, lambda: bad + s, lambda: s - bad, lambda: bad - s,
+                lambda: s * bad, lambda: bad * s, lambda: s / bad):
+        with pytest.raises(TypeError):
+            use()
+
+
+@pytest.mark.parametrize("bad", [True, 3.0], ids=repr)
+@pytest.mark.parametrize("method", ["truncate", "coefficient", "__pow__"])
+def test_an_index_or_exponent_that_is_no_int_raises_type_error(method, bad):
+    # 3.0 equals the order: truncate(3.0) used to return the series unchecked
+    s = poly([1, 1], 3)
+    with pytest.raises(TypeError, match="^a Series index or exponent must be an int, "
+                                        "got %r$" % bad):
+        getattr(s, method)(bad)
 
 
 def test_coefficient_and_range():

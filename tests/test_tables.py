@@ -31,6 +31,13 @@ def test_row_diff_reproduces_published_rows(family, k):
         assert expected == got, (family, k, n)
 
 
+@pytest.mark.parametrize("k", [5, 100])
+def test_row_diff_refuses_a_k_without_a_published_row(k):
+    with pytest.raises(ValueError, match=r"^k must be in \[1, 2, 3, 4\] for a published "
+                                         r"row, got %d$" % k):
+        tables.row_diff("fib", k)
+
+
 def test_row_diff_cells_are_indexed_by_length():
     cells = tables.row_diff("grand", 2)
     assert [n for n, _, _ in cells] == list(range(1, 11))
