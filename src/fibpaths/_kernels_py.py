@@ -14,8 +14,7 @@ Fractions.
 ``Series`` stores Fractions and alone decides when to hand these kernels
 ints: for the reciprocal of a unit integer series and the quotient of an
 integer series by one.  Its products stay on Fractions until ``Series``
-itself stores integers (ROADMAP item 2, which waits for the per-call memory
-measurement of item 1).
+itself stores integers.
 """
 
 from fractions import Fraction

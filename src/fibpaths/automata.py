@@ -51,7 +51,6 @@ from .series import (
 )
 
 __all__ = [
-    "ChainSpec",
     "InvalidAutomaton",
     "SingularSystem",
     "WeightedAutomaton",
@@ -233,49 +232,34 @@ def solve(auto: WeightedAutomaton, order: int) -> Series:
     return xs[auto.initial]
 
 
-class ChainSpec(namedtuple("ChainSpec", "kind depth levels all_final")):
-    """Chain description: `kind` is "linear" or "bilinear", and `levels[i]`
-    supplies the weights at level i (and, for bilinear chains, the primed
-    weights of level -i)."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind, depth, levels, all_final=False):
-        return super().__new__(cls, kind, depth, tuple(levels), all_final)
-
-
-def build_chain(spec: ChainSpec) -> WeightedAutomaton:
-    """Truncated chain automaton; deleting the levels above `depth` keeps
-    the boundary loop and back-edge.  InvalidAutomaton names the first
-    weight of levels 0..depth that fails `check_levels` at order 0."""
+def build_chain(kind: str, depth: int, levels, all_final: bool = False) -> WeightedAutomaton:
+    """Chain automaton truncated at `depth`: `kind` is "linear" or
+    "bilinear", and `levels[i]` supplies the weights at level i (and, for a
+    bilinear chain, the primed weights of level -i).  State base + i is
+    level i, with base = depth for a bilinear chain, whose level -i is state
+    base - i, and base = 0 for a linear one.  The initial state is level 0,
+    the only final one unless `all_final`.  Deleting the levels above
+    `depth` keeps the boundary loop and back-edge.  InvalidAutomaton names
+    the first weight of levels 0..depth that fails `check_levels` at order
+    0, or else an unknown kind."""
+    bilinear = kind == "bilinear"
     try:
-        levels = check_levels(spec.levels, spec.depth, 0, spec.kind == "bilinear")
+        levels = check_levels(levels, depth, 0, bilinear)
     except ValueError as exc:
         raise InvalidAutomaton(str(exc)) from None
-    s = spec.depth
-    if spec.kind == "linear":
-        transitions = []
-        for i in range(s + 1):
-            if not levels[i].h.is_zero():
-                transitions.append((i, i, levels[i].h))
-        for i in range(s):
-            transitions.append((i, i + 1, levels[i].f))
-            transitions.append((i + 1, i, levels[i].g))
-        finals = range(s + 1) if spec.all_final else (0,)
-        return WeightedAutomaton(s + 1, 0, frozenset(finals), tuple(transitions))
-    if spec.kind == "bilinear":
-        # state index = level + s, so states 0..2s cover levels -s..s
-        transitions = []
-        for i in range(s + 1):
-            if not levels[i].h.is_zero():
-                transitions.append((s + i, s + i, levels[i].h))
-            if i > 0 and not levels[i].hp.is_zero():
-                transitions.append((s - i, s - i, levels[i].hp))
-        for i in range(s):
-            transitions.append((s + i, s + i + 1, levels[i].f))
-            transitions.append((s + i + 1, s + i, levels[i].g))
-            transitions.append((s - i, s - i - 1, levels[i].gp))
-            transitions.append((s - i - 1, s - i, levels[i].fp))
-        finals = range(2 * s + 1) if spec.all_final else (s,)
-        return WeightedAutomaton(2 * s + 1, s, frozenset(finals), tuple(transitions))
-    raise InvalidAutomaton("unknown chain kind %r" % (spec.kind,))
+    if kind not in ("linear", "bilinear"):
+        raise InvalidAutomaton("unknown chain kind %r" % (kind,))
+    base = depth if bilinear else 0
+    loops, steps = [], []
+    for i in range(depth + 1):
+        lvl, above, below = levels[i], base + i, base - i
+        loops.append((above, above, lvl.h))
+        if bilinear and i:
+            loops.append((below, below, lvl.hp))
+        if i < depth:
+            steps += [(above, above + 1, lvl.f), (above + 1, above, lvl.g)]
+            if bilinear:
+                steps += [(below, below - 1, lvl.gp), (below - 1, below, lvl.fp)]
+    n = base + depth + 1
+    return WeightedAutomaton(n, base, range(n) if all_final else (base,),
+                             [t for t in loops if not t[2].is_zero()] + steps)

@@ -5,10 +5,9 @@
     fibpaths verify  cross-check all methods against each other
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 4 internal
-inconsistency (non-integral or singular results).  3, once "method
-unavailable for the family", is no longer produced: every method covers
-every family.  Output is deterministic; JSON carries counts as decimal
-strings since they outgrow doubles quickly.
+inconsistency (non-integral or singular results); exit code 3 is not used.
+Output is deterministic; JSON carries counts as decimal strings since they
+outgrow doubles quickly.
 """
 
 from __future__ import annotations

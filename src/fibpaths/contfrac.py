@@ -42,7 +42,6 @@ from .series import Series, _pad, one
 
 __all__ = [
     "CFLevel",
-    "constant_levels",
     "excursion_cf",
     "excursion_closed",
     "grand_excursion_cf",
@@ -59,11 +58,6 @@ class CFLevel(namedtuple("CFLevel", "f g h fp gp hp", defaults=(None,) * 3)):
     mirror weights of two-sided chains (None for one-sided use)."""
 
     __slots__ = ()
-
-
-def constant_levels(f, g, h, count, fp=None, gp=None, hp=None):
-    """`count` copies of one level; enough for evaluation depth count-1."""
-    return [CFLevel(f, g, h, fp, gp, hp)] * count
 
 
 def _mirror(levels, keep_root_loop=True):
@@ -114,7 +108,8 @@ def meander_cf(levels, depth: int, order: int) -> Series:
     The prefactor gains valuation with every up step, so the sum is finite.
     Each E_j is truncated relative to its own base level j, so the sum is
     exact through z^(2*depth+1) for valuation-1 step weights.  E_j is
-    evaluated only through z^(order - v), v the valuation of its prefix.
+    evaluated only through z^(order - v), v the valuation of its prefix;
+    since v >= j, the sum reads levels 0..order+depth at most.
     """
     check_levels(levels, depth, order)
     cache: dict = {}
@@ -125,7 +120,7 @@ def meander_cf(levels, depth: int, order: int) -> Series:
         if j + depth >= len(levels):
             raise ValueError(
                 "need at least %d levels for order %d at depth %d"
-                % (order + depth + 2, order, depth)
+                % (order + depth + 1, order, depth)
             )
         window = levels[j : j + depth + 1]
         key = tuple(id(lvl) for lvl in window)
@@ -166,12 +161,16 @@ def grand_meander_cf(levels, depth: int, order: int) -> Series:
 # -- closed forms for constant weights ---------------------------------------
 
 
+def _check(f, g, h, order):
+    """f, g, h checked at the `order` a closed form reads them at."""
+    for w, what in zip((f, g, h), "fgh"):
+        check_weight(w, what, order)
+
+
 def _read(f, g, h, order):
     """f, g, h checked and truncated to the `order` a closed form reads."""
-    return tuple(
-        check_weight(w, what, order).truncate(order)
-        for w, what in ((f, "f"), (g, "g"), (h, "h"))
-    )
+    _check(f, g, h, order)
+    return f.truncate(order), g.truncate(order), h.truncate(order)
 
 
 def excursion_closed(f, g, h, order: int) -> Series:
@@ -181,6 +180,7 @@ def excursion_closed(f, g, h, order: int) -> Series:
     order + valuation(fg) coefficients.
     """
     check_size("order", order)
+    _check(f, g, h, 0)  # names a bad weight before any product reads it
     fg = f * g
     if fg.is_zero():
         # chain without up/down excursions: loops only
@@ -204,6 +204,7 @@ def meander_closed(f, g, h, order: int) -> Series:
     """(1 - 2f - h - sqrt((1-h)^2 - 4fg)) / (2f (f+g+h-1)) for constant
     level weights; f, g, h must carry order + valuation(f) coefficients."""
     check_size("order", order)
+    _check(f, g, h, 0)  # names a bad weight before any product reads it
     if f.is_zero():
         f, g, h = _read(f, g, h, order)
         return (1 - h).inverse()

@@ -144,15 +144,15 @@ def _cf(family: str, k: int, order: int, depth: int | None) -> Series:
     s = default_depth(family, order, "cf") if depth is None else depth
     cf = _evaluator(family, "cf")
     # a meander's tail E_j reads levels j .. j+s for every j through order
-    return cf([_level(k, order)] * (order + s + 2), s, order)
+    return cf([_level(k, order)] * (order + s + 1), s, order)
 
 
 def _automaton(family: str, k: int, order: int, depth: int | None) -> Series:
     s = default_depth(family, order, "automaton") if depth is None else depth
     nonneg, ends_at_0 = CONSTRAINTS[family]
-    spec = automata.ChainSpec("linear" if nonneg else "bilinear", s,
-                              [_level(k, order)] * (s + 1), not ends_at_0)
-    return automata.solve(automata.build_chain(spec), order)
+    chain = automata.build_chain("linear" if nonneg else "bilinear", s,
+                                 [_level(k, order)] * (s + 1), not ends_at_0)
+    return automata.solve(chain, order)
 
 
 # -- the coefficient-sum formula ----------------------------------------------

@@ -223,8 +223,7 @@ class Series:
         integer series too: `_unit_integral` hands the kernels the
         numerators as ints, and the constructor converts the result to
         Fractions once.  Every other quotient, and every product, runs on
-        the stored Fractions until Series stores integers (ROADMAP item 2,
-        which waits for item 1).
+        the stored Fractions until Series stores integers.
         """
         if not isinstance(other, Series):
             try:

@@ -5,9 +5,14 @@ from math import factorial, prod
 
 from fibpaths._checks import CONSTRAINTS, check_k, check_levels, check_size
 from fibpaths.automata import solve_linear_system
-from fibpaths.contfrac import _mirror
+from fibpaths.contfrac import CFLevel, _mirror
+from fibpaths.families import horizontal_weight
 from fibpaths.kfib import binom, catalan, convolved_binomial, kfib
 from fibpaths.series import Series, one, poly, zero
+
+
+# the Motzkin numbers M_0 .. M_9 (OEIS A001006)
+MOTZKIN = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835]
 
 
 def ints(series):
@@ -65,6 +70,25 @@ def motzkin_gf(order):
     w = check_size("order", order) + 2
     root = poly([1, -2, -3], w).sqrt()
     return ((poly([1, -1], w) - root) / poly([0, 0, 2], w)).truncate(order)
+
+
+# -- constant chains ---------------------------------------------------------------
+
+
+def _constant_chain(h, order, count, two_sided):
+    step = poly([0, 1], order)
+    primed = (step, step, h) if two_sided else ()
+    return [CFLevel(step, step, h, *primed)] * count
+
+
+def unit_levels(order, count, two_sided=False):
+    """`count` levels of the Motzkin chain: every weight z."""
+    return _constant_chain(poly([0, 1], order), order, count, two_sided)
+
+
+def kfib_levels(k, order, count, two_sided=False):
+    """`count` levels of the k-Fibonacci chain: steps z, loops z/(1 - kz - z^2)."""
+    return _constant_chain(horizontal_weight(k, order), order, count, two_sided)
 
 
 class IndexMismatch(ValueError):

@@ -12,15 +12,13 @@ from fractions import Fraction
 import hypothesis
 
 from fibpaths import brute, gf, poly, zero
-from fibpaths.automata import ChainSpec, build_chain, solve
+from fibpaths.automata import build_chain, solve
 from fibpaths.contfrac import CFLevel
 from fibpaths.families import FAMILIES, METHODS, verify_methods
 from fibpaths.kfib import convolved_binomial, convolved_sum
 from fibpaths.tables import PUBLISHED, row_diff
 
-from helpers import convolved_gf, ints, long_division, motzkin_gf
-
-MOTZKIN = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835]
+from helpers import MOTZKIN, convolved_gf, ints, long_division, motzkin_gf
 
 
 def _verdict(label):
@@ -52,9 +50,7 @@ def test_motzkin_specialization():
     closed = motzkin_gf(9)
     assert ints(closed) == MOTZKIN
     z = poly([0, 1], 9)
-    spec = ChainSpec(kind="linear", depth=5, levels=[CFLevel(z, z, z)] * 6,
-                     all_final=False)
-    assert solve(build_chain(spec), 9) == closed
+    assert solve(build_chain("linear", 5, [CFLevel(z, z, z)] * 6), 9) == closed
     _verdict("depth-5 chain automaton reproduces the Motzkin numbers")
 
 

@@ -7,7 +7,6 @@ import pytest
 from fibpaths import automata
 from fibpaths._checks import check_weight
 from fibpaths.automata import (
-    ChainSpec,
     InvalidAutomaton,
     SingularSystem,
     WeightedAutomaton,
@@ -16,33 +15,14 @@ from fibpaths.automata import (
     solve_linear_system,
     validate,
 )
-from fibpaths.contfrac import CFLevel, constant_levels, excursion_cf
+from fibpaths.contfrac import CFLevel, excursion_cf
 from fibpaths.series import one, poly, zero
 
-from helpers import ints, motzkin_gf
-
-MOTZKIN = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835]
-
-
-def unit_levels(order, count, two_sided=False):
-    step = poly([0, 1], order)
-    if two_sided:
-        return constant_levels(step, step, step, count, step, step, step)
-    return constant_levels(step, step, step, count)
-
-
-def kfib_levels(k, order, count, two_sided=False):
-    step = poly([0, 1], order)
-    h = poly([0, 1], order) / poly([1, -k, -1], order)
-    if two_sided:
-        return constant_levels(step, step, h, count, step, step, h)
-    return constant_levels(step, step, h, count)
+from helpers import MOTZKIN, ints, kfib_levels, motzkin_gf, unit_levels
 
 
 def motzkin_chain(order, depth, all_final=False):
-    return build_chain(
-        ChainSpec("linear", depth, unit_levels(order, depth + 1), all_final)
-    )
+    return build_chain("linear", depth, unit_levels(order, depth + 1), all_final)
 
 
 def test_validate_accepts_chain():
@@ -126,22 +106,20 @@ def test_solve_motzkin_chain():
 
 def test_solve_single_looping_state():
     h = poly([0, 1], 8) / poly([1, -2, -1], 8)
-    auto = build_chain(ChainSpec("linear", 0, constant_levels(h, h, h, 1), True))
+    auto = build_chain("linear", 0, [CFLevel(h, h, h)], True)
     assert auto.n_states == 1
     assert solve(auto, 8) == (one(8) - h).inverse()
 
 
 def test_solve_kfib_chain_table_row():
-    got = solve(
-        build_chain(ChainSpec("linear", 6, kfib_levels(2, 10, 7))), 10
-    )
+    got = solve(build_chain("linear", 6, kfib_levels(2, 10, 7)), 10)
     assert ints(got) == [1, 1, 4, 13, 47, 168, 610, 2226, 8185, 30283, 112736]
 
 
 def test_solve_matches_continued_fraction():
     order = 12
     levels = kfib_levels(3, order, 8)
-    auto = build_chain(ChainSpec("linear", 7, levels))
+    auto = build_chain("linear", 7, levels)
     assert solve(auto, order) == excursion_cf(levels, 7, order)
 
 
@@ -167,37 +145,54 @@ def test_build_chain_shapes():
     lin = motzkin_chain(6, 2)
     assert lin.n_states == 3 and lin.initial == 0 and lin.finals == {0}
     assert len(lin.transitions) == 3 + 4  # three loops, two up, two down
-    bil = build_chain(ChainSpec("bilinear", 1, unit_levels(6, 2, True)))
+    bil = build_chain("bilinear", 1, unit_levels(6, 2, True))
     assert bil.n_states == 3 and bil.initial == 1
     assert bil.finals == {1}
-    all_fin = build_chain(ChainSpec("bilinear", 1, unit_levels(6, 2, True), True))
+    all_fin = build_chain("bilinear", 1, unit_levels(6, 2, True), True)
     assert all_fin.finals == {0, 1, 2}
+
+
+@pytest.mark.parametrize("all_final", [False, True])
+def test_build_chain_makes_level_i_state_base_plus_i(all_final):
+    # f, g, h, f', g', h' of level i weigh c z, c = 10 i + 1 .. 10 i + 6
+    f, g, h, fp, gp, hp = ([poly([0, 10 * i + c], 4) for i in range(3)] for c in range(1, 7))
+    levels = [CFLevel(*weights) for weights in zip(f, g, h, fp, gp, hp)]
+    linear = [(0, 0, h[0]), (1, 1, h[1]), (2, 2, h[2]),
+              (0, 1, f[0]), (1, 0, g[0]), (1, 2, f[1]), (2, 1, g[1])]
+    assert build_chain("linear", 2, levels, all_final) == WeightedAutomaton(
+        3, 0, range(3) if all_final else {0}, linear)
+    # base 2: level i is state 2 + i, level -i is state 2 - i
+    bilinear = [(2, 2, h[0]), (3, 3, h[1]), (1, 1, hp[1]), (4, 4, h[2]), (0, 0, hp[2]),
+                (2, 3, f[0]), (3, 2, g[0]), (2, 1, gp[0]), (1, 2, fp[0]),
+                (3, 4, f[1]), (4, 3, g[1]), (1, 0, gp[1]), (0, 1, fp[1])]
+    assert build_chain("bilinear", 2, levels, all_final) == WeightedAutomaton(
+        5, 2, range(5) if all_final else {2}, bilinear)
 
 
 def test_build_chain_requires_primed_weights():
     with pytest.raises(InvalidAutomaton):
-        build_chain(ChainSpec("bilinear", 2, unit_levels(6, 3)))
+        build_chain("bilinear", 2, unit_levels(6, 3))
 
 
 @pytest.mark.parametrize(
-    "spec, what",
+    "chain, what",
     [
-        (ChainSpec("linear", 1, [None, None]), "f[0]"),
-        (ChainSpec("linear", 1, [CFLevel(None, Z, Z), CFLevel(Z, Z, Z)]), "f[0]"),
-        (ChainSpec("bilinear", 2, [CFLevel(Z, Z, Z, Z, Z), CFLevel(Z, Z, Z, Z, None, Z),
-                                   CFLevel(Z, Z, Z, Z, Z, Z)]), "g'[1]"),
+        (("linear", 1, [None, None]), "f[0]"),
+        (("linear", 1, [CFLevel(None, Z, Z), CFLevel(Z, Z, Z)]), "f[0]"),
+        (("bilinear", 2, [CFLevel(Z, Z, Z, Z, Z), CFLevel(Z, Z, Z, Z, None, Z),
+                          CFLevel(Z, Z, Z, Z, Z, Z)]), "g'[1]"),
     ],
     ids=["no-level", "no-step", "no-primed-step"],
 )
-def test_build_chain_names_a_missing_weight(spec, what):
+def test_build_chain_names_a_missing_weight(chain, what):
     with pytest.raises(InvalidAutomaton, match="^%s must be a Series, got None$"
                                                % re.escape(what)):
-        build_chain(spec)
+        build_chain(*chain)
 
 
 def test_build_chain_unknown_kind():
     with pytest.raises(InvalidAutomaton):
-        build_chain(ChainSpec("circular", 1, unit_levels(6, 2)))
+        build_chain("circular", 1, unit_levels(6, 2))
 
 
 def test_truncation_convergence_initial_final():

@@ -5,7 +5,7 @@ import pytest
 
 from fibpaths import brute, contfrac, families
 from fibpaths._checks import CONSTRAINTS, DEPTH_METHODS, FAMILIES, METHODS, check_k
-from fibpaths.automata import ChainSpec, build_chain, solve
+from fibpaths.automata import build_chain, solve
 from fibpaths.brute import BudgetExceeded, count_paths, list_paths, path_counts
 from fibpaths.contfrac import (
     CFLevel,
@@ -34,7 +34,7 @@ from fibpaths.tables import row_diff
 from helpers import convolved_gf, motzkin_gf
 
 # order-6 weights: enough for order 4, where the closed forms read 4 + 2; a
-# meander at depth 2 reads levels 0 .. 4 + 2 + 1
+# meander at depth 2 reads levels 0 .. 4 + 2
 STEP = poly([0, 1], 6)
 LEVELS = [CFLevel(STEP, STEP, STEP, STEP, STEP, STEP)] * 8
 CF_ARGS = dict(levels=LEVELS, depth=2, order=4)
@@ -66,7 +66,8 @@ ENTRY_POINTS = [
     (grand_excursion_closed, CLOSED_ARGS),
     (meander_closed, CLOSED_ARGS),
     (grand_meander_closed, CLOSED_ARGS),
-    (solve, dict(auto=build_chain(ChainSpec("linear", 2, LEVELS)), order=4)),
+    (build_chain, dict(kind="bilinear", depth=2, levels=LEVELS)),
+    (solve, dict(auto=build_chain("linear", 2, LEVELS), order=4)),
     (poly, dict(coeffs=[1, 2], order=4)),
     (zero, dict(order=4)),
     (one, dict(order=4)),
@@ -100,13 +101,6 @@ def test_bad_k_or_size_raises_value_error_naming_it(fn, good, arg, bad):
     fn(**good)
     with pytest.raises(ValueError, match="^%s must be" % arg):
         fn(**dict(good, **{arg: bad}))
-
-
-@pytest.mark.parametrize("bad", BAD, ids=repr)
-def test_a_chain_depth_is_a_size(bad):
-    build_chain(ChainSpec("bilinear", 2, LEVELS))
-    with pytest.raises(ValueError, match="^depth must be"):
-        build_chain(ChainSpec("bilinear", bad, LEVELS))
 
 
 @pytest.mark.parametrize("method", [m for m in METHODS if m not in DEPTH_METHODS])

@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 from fibpaths import cli, families, tables
+from fibpaths.automata import SingularSystem
+from fibpaths.families import NonIntegralResult
+from fibpaths.series import SeriesError
 
 
 def run(capsys, *argv):
@@ -218,6 +221,19 @@ def test_verify_brute_max_over_budget_exits_2_before_counting(capsys, monkeypatc
     assert code == 2
     assert out == ""
     assert "--brute-max" in err and "budget 1000" in err
+
+
+@pytest.mark.parametrize("error", [NonIntegralResult, SingularSystem, SeriesError],
+                         ids=lambda error: error.__name__)
+def test_an_inconsistent_result_exits_4(capsys, monkeypatch, error):
+    def inconsistent(*args):
+        raise error("count 3 is 1/2")
+
+    monkeypatch.setattr(families, "sequence", inconsistent)
+    monkeypatch.setattr(families, "verify_methods", inconsistent)
+    for argv in (["seq", "--family", "fib", "--k", "2", "--n", "5"],
+                 ["verify", "--family", "fib", "--k", "2", "--n-max", "5"]):
+        assert run(capsys, *argv) == (4, "", "internal inconsistency: count 3 is 1/2\n")
 
 
 # -- tables ----------------------------------------------------------------------

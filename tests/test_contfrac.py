@@ -9,7 +9,6 @@ import pytest
 
 from fibpaths.contfrac import (
     CFLevel,
-    constant_levels,
     excursion_cf,
     excursion_closed,
     grand_excursion_cf,
@@ -21,7 +20,7 @@ from fibpaths.contfrac import (
 )
 from fibpaths.series import one, poly, zero
 
-from helpers import ints
+from helpers import ints, kfib_levels, unit_levels
 
 
 def unit_paths(n, nonneg, end_zero, with_h=True):
@@ -38,22 +37,6 @@ def unit_paths(n, nonneg, end_zero, with_h=True):
         return total
 
     return walk(n, 0)
-
-
-def unit_levels(order, count, with_h=True, two_sided=False):
-    step = poly([0, 1], order)
-    h = poly([0, 1], order) if with_h else zero(order)
-    if two_sided:
-        return constant_levels(step, step, h, count, step, step, h)
-    return constant_levels(step, step, h, count)
-
-
-def kfib_levels(k, order, count, two_sided=False):
-    step = poly([0, 1], order)
-    h = poly([0, 1], order) / poly([1, -k, -1], order)
-    if two_sided:
-        return constant_levels(step, step, h, count, step, step, h)
-    return constant_levels(step, step, h, count)
 
 
 def test_excursion_cf_depth_zero_is_loop_series():
@@ -89,7 +72,7 @@ def test_excursion_cf_needs_enough_levels():
 
 
 def test_excursion_cf_rejects_constant_term_weights():
-    bad = constant_levels(poly([1, 1], 6), poly([0, 1], 6), zero(6), 2)
+    bad = [CFLevel(poly([1, 1], 6), poly([0, 1], 6), zero(6))] * 2
     with pytest.raises(ValueError):
         excursion_cf(bad, 1, 6)
 
@@ -180,7 +163,7 @@ def test_grand_excursion_cf_zeroed_mirror_reduces_to_one_sided():
     order = 10
     step = poly([0, 1], order)
     h = poly([0, 1], order)
-    levels = constant_levels(step, step, h, 7, zero(order), zero(order), zero(order))
+    levels = [CFLevel(step, step, h, zero(order), zero(order), zero(order))] * 7
     assert grand_excursion_cf(levels, 6, order) == excursion_cf(levels, 6, order)
 
 
@@ -269,10 +252,9 @@ def test_grand_meander_cf_asymmetric_against_enumeration():
         return total
 
     step = poly([0, 1], order)
-    levels = constant_levels(
-        up * step, down * step, loop * step, order + 7,
-        fp=upm * step, gp=downm * step, hp=loopm * step,
-    )
+    levels = [
+        CFLevel(up * step, down * step, loop * step, upm * step, downm * step, loopm * step)
+    ] * (order + 7)
     got = grand_meander_cf(levels, 5, order)
     assert ints(got) == [walk(n, 0) for n in range(order + 1)]
 
@@ -289,7 +271,7 @@ def _on_chain(cf, two_sided):
 
     def evaluate(f, g, h, order):
         primed = (f, g, h) if two_sided else ()
-        return cf(constant_levels(f, g, h, 12, *primed), 2, order)
+        return cf([CFLevel(f, g, h, *primed)] * 12, 2, order)
 
     return evaluate
 
@@ -314,6 +296,9 @@ BAD_INPUTS = {
     ),
     "order -1": (STEP, STEP, STEP, -1, "^order must be a nonnegative integer, got -1$"),
     "missing loop": (STEP, STEP, None, 6, r"^h(\[0\])? must be a Series, got None$"),
+    "missing up step": (None, STEP, STEP, 6, r"^f(\[0\])? must be a Series, got None$"),
+    "missing down step": (STEP, None, STEP, 6, r"^g(\[0\])? must be a Series, got None$"),
+    "int up step": (3, STEP, STEP, 6, r"^f(\[0\])? must be a Series, got 3$"),
 }
 
 
@@ -335,12 +320,25 @@ def test_two_sided_evaluators_need_the_primed_weights(cf):
 
 def test_meander_tails_past_the_depth_need_their_weights_too():
     # the sum reads the windows j .. j + depth for every j, past level depth
-    one_sided = constant_levels(STEP, STEP, STEP, 3) + constant_levels(STEP, STEP, None, 9)
+    one_sided = [CFLevel(STEP, STEP, STEP)] * 3 + [CFLevel(STEP, STEP, None)] * 9
     with pytest.raises(ValueError, match=r"^h\[2\] must be a Series, got None$"):
         meander_cf(one_sided, 2, 6)
-    two_sided = constant_levels(STEP, STEP, STEP, 3, STEP, STEP, STEP)
+    two_sided = [CFLevel(STEP, STEP, STEP, STEP, STEP, STEP)] * 3
     with pytest.raises(ValueError, match="must be a Series, got None$"):
         grand_meander_cf(two_sided + one_sided[3:], 2, 6)
+
+
+@pytest.mark.parametrize("cf", [meander_cf, grand_meander_cf])
+def test_a_meander_reads_levels_through_order_plus_depth(cf):
+    # a prefix of valuation v <= order ends on a level j <= v, whose tail
+    # reads levels j .. j + depth
+    order, depth = 12, 3
+    need = order + depth + 1
+    got = cf(kfib_levels(2, order, need, two_sided=True), depth, order)
+    assert got == cf(kfib_levels(2, order, need + 1, two_sided=True), depth, order)
+    with pytest.raises(ValueError, match="^need at least %d levels for order %d at depth %d$"
+                                         % (need, order, depth)):
+        cf(kfib_levels(2, order, need - 1, two_sided=True), depth, order)
 
 
 @pytest.mark.parametrize("closed", [excursion_closed, meander_closed])

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from fibpaths import _backend, automata, gf
-from fibpaths.automata import ChainSpec, WeightedAutomaton, _state_orders, build_chain, solve
+from fibpaths.automata import WeightedAutomaton, _state_orders, build_chain, solve
 from fibpaths.contfrac import (
     CFLevel,
     excursion_cf,
@@ -169,8 +169,8 @@ def test_constant_chain_automata_match_full_order(kind, all_final, k):
         level = CFLevel(step, step, h, step, step, h)
         depths = automaton_depths(order, CHAIN_FAMILIES[kind, all_final])
         depth = depths[(turn + k) % len(depths)]
-        spec = ChainSpec(kind, depth, [level] * (depth + 1), all_final)
-        assert_solve_matches_reference(build_chain(spec), order)
+        auto = build_chain(kind, depth, [level] * (depth + 1), all_final)
+        assert_solve_matches_reference(auto, order)
 
 
 def least_valuations(auto):

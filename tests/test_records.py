@@ -1,15 +1,14 @@
-"""The four public records: construction by position and by keyword,
+"""The three public records: construction by position and by keyword,
 defaults, normalisation of list input, immutability, equality and repr."""
 
 import pytest
 
-from fibpaths.automata import ChainSpec, WeightedAutomaton
+from fibpaths.automata import WeightedAutomaton
 from fibpaths.contfrac import CFLevel
 from fibpaths.families import PathCountReport
 from fibpaths.series import poly
 
 F, G, H = poly([0, 1], 4), poly([0, 2], 4), poly([0, 0, 3], 4)
-LEVEL = CFLevel(F, G, H)
 
 # class, field names in order, a factory of fresh positional arguments (lists
 # where the record normalises), the normalised fields, the defaulted fields
@@ -20,9 +19,6 @@ RECORDS = [
      lambda: [2, 0, [1, 0, 1], [(0, 1, F), (1, 0, G)]],
      {"n_states": 2, "initial": 0, "finals": frozenset({0, 1}),
       "transitions": ((0, 1, F), (1, 0, G))}, {}),
-    (ChainSpec, ("kind", "depth", "levels", "all_final"),
-     lambda: ["linear", 1, [LEVEL, LEVEL]],
-     {"kind": "linear", "depth": 1, "levels": (LEVEL, LEVEL)}, {"all_final": False}),
     (PathCountReport, ("family", "k", "method", "counts"),
      lambda: ["fib", 2, "cf", [1, 1, 4]],
      {"family": "fib", "k": 2, "method": "cf", "counts": (1, 1, 4)}, {}),
