@@ -5,7 +5,8 @@
     fibpaths verify  cross-check all methods against each other
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 4 internal
-inconsistency (non-integral or singular results); exit code 3 is not used.
+inconsistency (negative count, non-integral or singular results); exit code
+3 is not used.
 Output is deterministic; JSON carries counts as decimal strings since they
 outgrow doubles quickly.
 """

@@ -60,14 +60,11 @@ class CFLevel(namedtuple("CFLevel", "f g h fp gp hp", defaults=(None,) * 3)):
     __slots__ = ()
 
 
-def _mirror(levels, keep_root_loop=True):
+def _mirror(levels):
     """The chain seen by a walk below the axis: f -> g', g -> f', loops h';
     the level-0 loop is shared between the two sides."""
-    out = []
-    for i, lvl in enumerate(levels):
-        h = lvl.h if (i == 0 and keep_root_loop) else lvl.hp
-        out.append(CFLevel(lvl.gp, lvl.fp, h))
-    return out
+    return [CFLevel(lvl.gp, lvl.fp, lvl.hp if i else lvl.h)
+            for i, lvl in enumerate(levels)]
 
 
 def excursion_cf(levels, depth: int, order: int) -> Series:
@@ -95,7 +92,7 @@ def grand_excursion_cf(levels, depth: int, order: int) -> Series:
         return (unit - levels[0].h).inverse()
     lvl0 = levels[0]
     up = excursion_cf(levels[1:], depth - 1, order)
-    down = excursion_cf(_mirror(levels[1:], keep_root_loop=False), depth - 1, order)
+    down = excursion_cf(_mirror(levels)[1:], depth - 1, order)
     return (
         unit - lvl0.h - lvl0.f * lvl0.g * up - lvl0.fp * lvl0.gp * down
     ).inverse()

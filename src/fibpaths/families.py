@@ -48,7 +48,9 @@ __all__ = [
 ]
 
 class NonIntegralResult(ArithmeticError):
-    """A path count came out non-integral; the computation is inconsistent."""
+    """A path count came out negative or non-integral; the computation is
+    inconsistent.  `gf` refuses any coefficient that is not a nonnegative
+    integer with it."""
 
 
 def horizontal_weight(k: int, order: int) -> Series:
@@ -99,7 +101,9 @@ def gf(family: str, k: int, order: int | None = None, method: str = "closed",
        depth: int | None = None) -> Series:
     """Generating function of the family, exact through `order`
     (default: series.DEFAULT_ORDER).  `depth` overrides the truncation
-    depth of the cf and automaton methods; other methods refuse it."""
+    depth of the cf and automaton methods; other methods refuse it.
+    Every coefficient is a count: the first that is not a nonnegative
+    integer raises NonIntegralResult."""
     check_family(family)
     check_method(method)
     check_k(k)
@@ -118,10 +122,10 @@ def gf(family: str, k: int, order: int | None = None, method: str = "closed",
     else:
         brute.check_budget("order", n)
         out = Series(brute.path_counts(family, k, n))
-    if not out.is_integral():
-        raise NonIntegralResult(
-            "%s/%s GF for k=%d has non-integral coefficients" % (family, method, k)
-        )
+    for t, c in enumerate(out.coefficients()):
+        if c < 0 or c.denominator != 1:
+            raise NonIntegralResult("%s/%s count for k=%d, n=%d is not a "
+                                    "nonnegative integer: %s" % (family, method, k, t, c))
     return out
 
 
@@ -135,9 +139,8 @@ def _evaluator(family: str, kind: str):
 
 
 def _closed(family: str, k: int, order: int) -> Series:
-    w = order + 2
-    step = poly([0, 1], w)
-    return _evaluator(family, "closed")(step, step, horizontal_weight(k, w), order)
+    f, g, h = _level(k, order + 2)[:3]
+    return _evaluator(family, "closed")(f, g, h, order)
 
 
 def _cf(family: str, k: int, order: int, depth: int | None) -> Series:
@@ -222,19 +225,11 @@ class PathCountReport(namedtuple("PathCountReport", "family k method counts")):
 
 def sequence(family: str, k: int, n_max: int, method: str = "closed",
              depth: int | None = None) -> PathCountReport:
-    """Counts for n = 0..n_max as a report; every count is checked to be a
+    """Counts for n = 0..n_max as a report; `gf` has checked each to be a
     nonnegative integer before anything is emitted."""
     check_size("n_max", n_max)
-    series = gf(family, k, n_max, method, depth)
-    counts = []
-    for t in range(n_max + 1):
-        c = series.coefficient(t)
-        if c < 0:
-            raise NonIntegralResult(
-                "%s/%s count for k=%d, n=%d is negative: %s" % (family, method, k, t, c)
-            )
-        counts.append(int(c))
-    return PathCountReport(family, k, method, tuple(counts))
+    return PathCountReport(family, k, method,
+                           map(int, gf(family, k, n_max, method, depth).coefficients()))
 
 
 def verify_methods(family: str, k: int, n_max: int, brute_max: int = 10,

@@ -5,7 +5,7 @@ from math import factorial, prod
 
 from fibpaths._checks import CONSTRAINTS, check_k, check_levels, check_size
 from fibpaths.automata import solve_linear_system
-from fibpaths.contfrac import CFLevel, _mirror
+from fibpaths.contfrac import CFLevel
 from fibpaths.families import horizontal_weight
 from fibpaths.kfib import binom, catalan, convolved_binomial, kfib
 from fibpaths.series import Series, one, poly, zero
@@ -159,6 +159,18 @@ def excursion_cf_reference(levels, depth, order):
     return e
 
 
+def mirror_reference(levels, keep_root_loop=True):
+    """The chain seen by a walk below the axis: f -> g', g -> f', loops h';
+    the level-0 loop is shared between the two sides unless
+    `keep_root_loop` is false.  A copy kept here, so that the references
+    do not call the contfrac code they check."""
+    out = []
+    for i, lvl in enumerate(levels):
+        h = lvl.h if (i == 0 and keep_root_loop) else lvl.hp
+        out.append(CFLevel(lvl.gp, lvl.fp, h))
+    return out
+
+
 def grand_excursion_cf_reference(levels, depth, order):
     check_levels(levels, depth, order, primed=True)
     unit = one(order)
@@ -167,7 +179,7 @@ def grand_excursion_cf_reference(levels, depth, order):
     lvl0 = levels[0]
     up = excursion_cf_reference(levels[1:], depth - 1, order)
     down = excursion_cf_reference(
-        _mirror(levels[1:], keep_root_loop=False), depth - 1, order
+        mirror_reference(levels[1:], keep_root_loop=False), depth - 1, order
     )
     return (
         unit - lvl0.h - lvl0.f * lvl0.g * up - lvl0.fp * lvl0.gp * down
@@ -202,13 +214,13 @@ def meander_cf_reference(levels, depth, order):
 
 
 def _mirror_shared(levels):
-    """_mirror(levels), except that the repeats of one level share one
-    mirrored level, so that the id-keyed tail cache of the meander reference
-    hits on a constant mirrored chain; its result is the same."""
+    """mirror_reference(levels), except that the repeats of one level share
+    one mirrored level, so that the id-keyed tail cache of the meander
+    reference hits on a constant mirrored chain; its result is the same."""
     first = {}
     return [
         first.setdefault((id(lvl), i == 0), m)
-        for i, (lvl, m) in enumerate(zip(levels, _mirror(levels)))
+        for i, (lvl, m) in enumerate(zip(levels, mirror_reference(levels)))
     ]
 
 

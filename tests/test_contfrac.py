@@ -9,6 +9,7 @@ import pytest
 
 from fibpaths.contfrac import (
     CFLevel,
+    _mirror,
     excursion_cf,
     excursion_closed,
     grand_excursion_cf,
@@ -20,7 +21,7 @@ from fibpaths.contfrac import (
 )
 from fibpaths.series import one, poly, zero
 
-from helpers import ints, kfib_levels, unit_levels
+from helpers import ints, kfib_levels, mirror_reference, unit_levels
 
 
 def unit_paths(n, nonneg, end_zero, with_h=True):
@@ -165,6 +166,15 @@ def test_grand_excursion_cf_zeroed_mirror_reduces_to_one_sided():
     h = poly([0, 1], order)
     levels = [CFLevel(step, step, h, zero(order), zero(order), zero(order))] * 7
     assert grand_excursion_cf(levels, 6, order) == excursion_cf(levels, 6, order)
+
+
+def test_mirror_matches_the_two_mode_reference():
+    # distinct weights on every entry of every level, so a swapped or
+    # shifted entry shows
+    levels = [CFLevel(*(poly([0, 6 * i + j + 1], 3) for j in range(6)))
+              for i in range(4)]
+    assert _mirror(levels) == mirror_reference(levels)
+    assert _mirror(levels)[1:] == mirror_reference(levels[1:], keep_root_loop=False)
 
 
 def test_meander_closed_motzkin_prefixes():

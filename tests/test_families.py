@@ -1,6 +1,7 @@
 """Family dispatch: every method, counts, reports, and cross-checks."""
 
 import json
+from fractions import Fraction
 from itertools import accumulate, product
 
 import pytest
@@ -10,6 +11,7 @@ from fibpaths import brute, families
 from fibpaths._checks import CONSTRAINTS
 from fibpaths.families import (
     METHODS,
+    NonIntegralResult,
     PathCountReport,
     coeff,
     default_depth,
@@ -64,6 +66,36 @@ def test_gf_validation():
 def test_gf_refuses_a_depth_for_a_method_without_one(method):
     with pytest.raises(ValueError, match="^depth applies only to the cf and automaton"):
         gf("fib", 2, 10, method, depth=0)
+
+
+def _spoil(monkeypatch, method, n, bad):
+    """Make the `method` route of `gf` return `bad` as its count at `n`."""
+    if method == "formula":
+        real = families.coeff
+        monkeypatch.setattr(families, "coeff",
+                            lambda family, k, t: bad if t == n else real(family, k, t))
+    else:
+        real = brute.path_counts
+
+        def spoiled(family, k, order):
+            counts = list(real(family, k, order))
+            if order >= n:
+                counts[n] = bad
+            return counts
+
+        monkeypatch.setattr(brute, "path_counts", spoiled)
+
+
+@pytest.mark.parametrize("bad", [-1, Fraction(1, 2)], ids=["negative", "half"])
+@pytest.mark.parametrize("method", ["formula", "brute"])
+def test_gf_refuses_a_count_that_is_no_nonnegative_integer(monkeypatch, method, bad):
+    _spoil(monkeypatch, method, 3, bad)
+    message = "^fib/%s count for k=2, n=3 is not a nonnegative integer: %s$" % (method, bad)
+    with pytest.raises(NonIntegralResult, match=message):
+        gf("fib", 2, 6, method)
+    with pytest.raises(NonIntegralResult, match=message):
+        sequence("fib", 2, 6, method)
+    assert ints(gf("fib", 2, 2, method)) == [1, 1, 4]
 
 
 @pytest.mark.parametrize("family", families.FAMILIES)
