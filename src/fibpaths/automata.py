@@ -6,13 +6,17 @@ q counts weighted walks from q into the final set,
 
     L_q = sum_edges w(q -> q') L_{q'} + [q in finals],
 
-a linear system over the series ring solved exactly by sparse Gaussian
-elimination with valuation pivoting.  Chains built from CF levels
-(`build_chain`) reproduce the continued-fraction evaluators state by state:
-a chain truncated at depth s is exact through z^(2s+1) when only the
-level-0 state is final (the first walk it misses climbs s+1 levels and comes
-back, 2s+2 steps), but only through z^s when every state is final (the
-all-up walk leaves the truncated chain after s steps).
+a linear system (I - W) L = F over the series ring, solved exactly by
+sparse elimination in row order with unit pivots: as val(W) >= 1,
+eliminating column c subtracts factor * row c, val(factor) >= 1, from each
+later row, so every diagonal entry keeps constant term 1 and every other
+entry valuation >= 1, in the rows the precision rule truncates or pads too.
+Chains built from CF levels (`build_chain`) reproduce the continued-fraction
+evaluators state by state: a chain truncated at depth s is exact through
+z^(2s+1) when only the level-0 state is final (the first walk it misses
+climbs s+1 levels and comes back, 2s+2 steps), but only through z^s when
+every state is final (the all-up walk leaves the truncated chain after s
+steps).
 
 Precision rule: a walk reaches state q only behind edges whose valuations
 sum to at least d(q), the least such sum over walks from the initial state,
@@ -41,14 +45,7 @@ import math
 from collections import namedtuple
 
 from ._checks import check_levels, check_size, check_weight
-from .series import (
-    DivisionByZeroSeries,
-    InsufficientValuation,
-    Series,
-    _pad,
-    one,
-    zero,
-)
+from .series import Series, _pad, one, zero
 
 __all__ = [
     "InvalidAutomaton",
@@ -66,7 +63,7 @@ class InvalidAutomaton(ValueError):
 
 
 class SingularSystem(ArithmeticError):
-    """No pivot of finite valuation with invertible leading behavior."""
+    """A pivot met in row order is missing or has constant term 0."""
 
 
 class WeightedAutomaton(
@@ -83,7 +80,7 @@ class WeightedAutomaton(
 
 
 def _is_state(q, n: int) -> bool:
-    """Whether q is a state number: a size (`check_size`) below n."""
+    """Whether q is a state or column number: a size (`check_size`) below n."""
     try:
         return check_size("state", q) < n
     except ValueError:
@@ -121,36 +118,37 @@ def _problems(auto: WeightedAutomaton, order: int) -> list[str]:
 
 
 def solve_linear_system(rows, rhs):
-    """Solve M x = rhs over the series ring, M given as sparse rows
-    (dicts column -> Series).  Pivots by minimal valuation, lowest row
-    index on ties; SingularSystem when a column has no finite-valuation
-    pivot or elimination loses the invertibility needed to back-substitute.
+    """Solve M x = rhs over the series ring, M given as sparse rows (dicts
+    column -> Series), by elimination in row order; for M = I - W with
+    val(W) >= 1 every pivot is a unit (see above).  SingularSystem names the
+    first column whose pivot is missing or has constant term 0, as in a
+    system that needs a row swap.  ValueError names the row of a malformed
+    system before any arithmetic: len(rhs) != len(rows), a column that is no
+    size below len(rows), or an entry or rhs[i] that is not a Series.  The
+    caller's rows and rhs stay unchanged.
 
     Row i is carried to the order of rhs[i]: a pivot, pivot-row entry,
     right-hand side or solution of lower order is zero-padded to it where
     it meets row i (see the precision rule above).
     """
-    n = len(rows)
     rows = [dict(r) for r in rows]
     rhs = list(rhs)
+    n = len(rows)
+    if len(rhs) != n:
+        raise ValueError("%d rows but %d right-hand sides" % (n, len(rhs)))
+    for i, row in enumerate(rows):
+        if not isinstance(rhs[i], Series):
+            raise ValueError("row %d: right-hand side must be a Series, got %r" % (i, rhs[i]))
+        for j, v in row.items():
+            if not _is_state(j, n):
+                raise ValueError("row %d: column %r is not a size below %d" % (i, j, n))
+            if not isinstance(v, Series):
+                raise ValueError("row %d, column %d: entry must be a Series, got %r" % (i, j, v))
     for col in range(n):
-        best, best_val = None, None
-        for i in range(col, n):
-            entry = rows[i].get(col)
-            if entry is None:
-                continue
-            v = entry.valuation()
-            if best_val is None or v < best_val:
-                best, best_val = i, v
-                if v == 0:
-                    break
-        if best is None or best_val == float("inf"):
-            raise SingularSystem("no usable pivot in column %d" % col)
-        if best != col:
-            rows[col], rows[best] = rows[best], rows[col]
-            rhs[col], rhs[best] = rhs[best], rhs[col]
-        pivot = rows[col][col]
         pivot_row = rows[col]
+        pivot = pivot_row.get(col)
+        if pivot is None or not pivot.coefficient(0):
+            raise SingularSystem("column %d has no unit pivot in row order" % col)
         for i in range(col + 1, n):
             entry = rows[i].get(col)
             if entry is None or entry.is_zero():
@@ -177,12 +175,7 @@ def solve_linear_system(rows, rhs):
         for j, v in rows[i].items():
             if j > i and not v.is_zero():
                 acc = acc - v * _pad(xs[j], acc.order)
-        try:
-            xs[i] = acc / rows[i][i]
-        except (InsufficientValuation, DivisionByZeroSeries) as exc:
-            raise SingularSystem(
-                "back-substitution failed at row %d: %s" % (i, exc)
-            ) from exc
+        xs[i] = acc / rows[i][i]
     return xs
 
 

@@ -70,15 +70,16 @@ def build_parser() -> argparse.ArgumentParser:
     tab.set_defaults(func=cmd_tables)
 
     ver = sub.add_parser("verify", help="cross-check all methods")
-    ver.add_argument("--k-max", type=_positive_int, default=4)
+    one_k = ver.add_mutually_exclusive_group()
+    one_k.add_argument("--k-max", type=_positive_int, default=4)
+    one_k.add_argument("--k", type=_positive_int, default=None,
+                       help="restrict to one k")
     ver.add_argument("--n-max", type=_nonneg_int, default=40)
     ver.add_argument("--brute-max", type=_nonneg_int, default=10,
                      help="largest length checked by brute-force enumeration")
     ver.add_argument("--depth", type=_nonneg_int, default=None)
     ver.add_argument("--family", choices=FAMILIES, default=None,
                      help="restrict to one family")
-    ver.add_argument("--k", type=_positive_int, default=None,
-                     help="restrict to one k")
     ver.set_defaults(func=cmd_verify)
     return parser
 

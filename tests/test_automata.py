@@ -233,16 +233,44 @@ def test_solve_linear_system_singular():
         solve_linear_system(rows, rhs)
 
 
-def test_solve_linear_system_valuation_pivot():
-    # column 0 must pick the second row (valuation 0 beats valuation 1)
+def test_solve_linear_system_refuses_a_system_that_needs_a_row_swap():
+    # [z, 1; 1, z] is invertible, but its pivot in row order, z, is no unit
     z = poly([0, 1], 6)
     rows = [{0: z, 1: one(6)}, {0: one(6), 1: z}]
     rhs = [one(6), zero(6)]
+    with pytest.raises(SingularSystem, match="^column 0 "):
+        solve_linear_system(rows, rhs)
+
+
+@pytest.mark.parametrize(
+    "rows, rhs, message",
+    [
+        ([{0: one(3)}], [one(3), zero(3)], "1 rows but 2 right-hand sides"),
+        ([{0: one(3), 1: one(3)}], [one(3)], "row 0: column 1 is not a size below 1"),
+        ([{0: one(3)}, {-1: one(3), 1: one(3)}], [one(3), zero(3)],
+         "row 1: column -1 is not a size below 2"),
+        ([{0: one(3)}, {1: 1}], [one(3), zero(3)],
+         "row 1, column 1: entry must be a Series, got 1"),
+        ([{0: one(3)}, {1: one(3)}], [one(3), 0],
+         "row 1: right-hand side must be a Series, got 0"),
+    ],
+    ids=["lengths", "column-too-large", "column-negative", "entry-not-series",
+         "rhs-not-series"],
+)
+def test_solve_linear_system_refuses_a_malformed_system(rows, rhs, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        solve_linear_system(rows, rhs)
+
+
+def test_solve_linear_system_leaves_its_arguments_unchanged():
+    z = poly([0, 1], 6)
+    rows = [{0: one(6), 1: -z}, {0: -z, 1: one(6) - z}]
+    rhs = [one(6), zero(6)]
+    before = ([dict(r) for r in rows], list(rhs))
     xs = solve_linear_system(rows, rhs)
-    # solution of [z, 1; 1, z] x = [1, 0]: x0 = -z/(1-z^2), x1 = 1/(1-z^2)
-    denom = poly([1, 0, -1], 6)
-    assert xs[0] == (0 - z) / denom
-    assert xs[1] == one(6) / denom
+    # x0 = 1 + z x1, x1 = z x0 + z x1: x1 = z/(1 - z - z^2)
+    assert xs[1] == z / poly([1, -1, -1], 6)
+    assert (rows, rhs) == before
 
 
 @pytest.mark.parametrize("reverse", [False, True])

@@ -329,6 +329,19 @@ def test_verify_lists_every_mismatching_n(capsys):
     ]
 
 
+def test_verify_refuses_k_with_k_max(capsys, monkeypatch):
+    def no_counting(*args, **kwargs):
+        raise AssertionError("verify counted despite --k with --k-max")
+
+    monkeypatch.setattr(cli.families, "verify_methods", no_counting)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--k", "3", "--k-max", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --k-max: not allowed with argument --k" in captured.err
+
+
 def test_verify_all_families_small(capsys):
     code, out, _ = run(capsys, "verify", "--n-max", "8", "--brute-max", "4",
                        "--k-max", "2")
