@@ -10,7 +10,6 @@ counting) that cross-verify each other exactly.
 from ._backend import BACKEND
 from .brute import count_paths, list_paths
 from .families import FAMILIES, METHODS, PathCountReport, gf, sequence, verify_methods
-from .kfib import kfib
 from .series import Series, one, poly, zero
 
 __version__ = "0.1.0"
@@ -24,7 +23,6 @@ __all__ = [
     "__version__",
     "count_paths",
     "gf",
-    "kfib",
     "list_paths",
     "one",
     "poly",

@@ -2,7 +2,7 @@
 
     fibpaths seq     print one family's counts by one method
     fibpaths tables  recompute the published tables and diff them
-    fibpaths verify  cross-check all methods against each other
+    fibpaths verify  check every method against `closed` (PASS: all agree)
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 4 internal
 inconsistency (negative count, non-integral or singular results); exit code
@@ -25,7 +25,6 @@ from .series import SeriesError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
-EXIT_USAGE = 2
 EXIT_INTERNAL = 4
 
 
@@ -63,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     seq.add_argument("--format", choices=("text", "json", "csv"), default="text")
     seq.add_argument("--header", action="store_true",
                      help="emit a header row of path lengths (csv only)")
-    seq.set_defaults(func=cmd_seq)
+    seq.set_defaults(func=cmd_seq, refuse=seq.error)
 
     tab = sub.add_parser("tables", help="recompute the published tables")
     tab.add_argument("--json", action="store_true", dest="as_json")
@@ -80,11 +79,21 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--depth", type=_nonneg_int, default=None)
     ver.add_argument("--family", choices=FAMILIES, default=None,
                      help="restrict to one family")
-    ver.set_defaults(func=cmd_verify)
+    ver.set_defaults(func=cmd_verify, refuse=ver.error)
     return parser
 
 
 def cmd_seq(args) -> int:
+    if args.header and args.format != "csv":
+        args.refuse("--header applies only to --format csv")
+    if args.depth is not None:
+        try:
+            least = families.least_depth(args.family, args.n, args.method)
+        except ValueError as exc:
+            args.refuse("--depth: %s" % exc)
+        if args.depth < least:
+            args.refuse("--depth %d is below %d, the least depth exact through --n %d"
+                        % (args.depth, least, args.n))
     if args.method == "brute":
         brute.check_budget("--n", args.n)
     report = families.sequence(args.family, args.k, args.n, args.method, args.depth)
@@ -167,24 +176,15 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "seq":
-        if args.header and args.format != "csv":
-            parser.error("--header applies only to --format csv")
-        if args.depth is not None:
-            try:
-                least = families.least_depth(args.family, args.n, args.method)
-            except ValueError as exc:
-                parser.error("--depth: %s" % exc)
-            if args.depth < least:
-                parser.error("--depth %d is below %d, the least depth exact through --n %d"
-                             % (args.depth, least, args.n))
+    if argv is None:  # run as the program: a closed pipe ends it quietly
+        import signal
+        if hasattr(signal, "SIGPIPE"):
+            signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceeded as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+        args.refuse(str(exc))
     except (NonIntegralResult, SingularSystem, SeriesError) as exc:
         print("internal inconsistency: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL

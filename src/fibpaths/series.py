@@ -130,10 +130,6 @@ class Series:
     def is_zero(self) -> bool:
         return not any(self._coeffs)
 
-    def is_integral(self) -> bool:
-        """True iff every stored coefficient has denominator 1."""
-        return all(c.denominator == 1 for c in self._coeffs)
-
     def truncate(self, order: int) -> "Series":
         """Drop coefficients beyond the given order (never extends)."""
         if _index(order) < 0 or order > self.order:

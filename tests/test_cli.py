@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -23,22 +24,41 @@ def run(capsys, *argv):
 # -- start-up ------------------------------------------------------------------
 
 
+def child_env():
+    """The environment of a fresh interpreter that imports fibpaths from src."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(src)
+    return env
+
+
 def test_import_loads_no_dataclasses_inspect_or_json():
     # modules that site loads are already in sys.modules and do not count
     probe = (
         "import sys; before = set(sys.modules); import fibpaths.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(src)
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-        check=True,
+        [sys.executable, "-c", probe], env=child_env(), capture_output=True,
+        text=True, check=True,
     ).stdout
     added = set(out.split())
     assert "fibpaths.cli" in added
     assert not added & {"dataclasses", "inspect", "json"}
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_a_closed_pipe_ends_the_program_quietly():
+    r, w = os.pipe()
+    os.close(r)  # the reader is gone before the program writes
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "fibpaths.cli", "verify", "--n-max", "0"],
+            env=child_env(), stdout=w, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(w)
+    assert (done.returncode, done.stderr) == (-signal.SIGPIPE, "")
 
 
 # -- seq -----------------------------------------------------------------------
@@ -129,7 +149,9 @@ def test_seq_usage_errors_exit_2(capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2, argv
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        if argv[:1] == ["seq"]:
+            assert err.startswith("usage: fibpaths seq"), argv
 
 
 @pytest.mark.parametrize("method", ["cf", "automaton"])
@@ -201,13 +223,16 @@ def test_seq_grand_prefix_formula_prints_the_published_row(capsys, k):
 
 
 def test_seq_brute_budget_exits_2(capsys):
-    code, out, err = run(
-        capsys, "seq", "--family", "fib", "--k", "1", "--n", "1001",
-        "--method", "brute",
-    )
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["seq", "--family", "fib", "--k", "1", "--n", "1001",
+                  "--method", "brute"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: --n: length 1001 exceeds the enumeration budget 1000\n"
+    assert err.startswith("usage: fibpaths seq")
+    assert err.endswith(
+        "\nfibpaths seq: error: --n: length 1001 exceeds the enumeration budget 1000\n"
+    )
 
 
 def test_verify_brute_max_over_budget_exits_2_before_counting(capsys, monkeypatch):
@@ -215,12 +240,16 @@ def test_verify_brute_max_over_budget_exits_2_before_counting(capsys, monkeypatc
         raise AssertionError("verify counted before checking --brute-max")
 
     monkeypatch.setattr(cli.families, "verify_methods", no_counting)
-    code, out, err = run(
-        capsys, "verify", "--k", "1", "--n-max", "1001", "--brute-max", "1001"
-    )
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--k", "1", "--n-max", "1001", "--brute-max", "1001"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
     assert out == ""
-    assert "--brute-max" in err and "budget 1000" in err
+    assert err.startswith("usage: fibpaths verify")
+    assert err.endswith(
+        "\nfibpaths verify: error: --brute-max: length 1001 exceeds the "
+        "enumeration budget 1000\n"
+    )
 
 
 @pytest.mark.parametrize("error", [NonIntegralResult, SingularSystem, SeriesError],

@@ -1,5 +1,6 @@
 """k-Fibonacci numbers, convolutions, and combinatorial helpers."""
 
+import sys
 from itertools import combinations
 from math import prod
 
@@ -22,6 +23,12 @@ def compositions_product(k, m, r):
             prev = b
         total += prod(kfib(k, p + 1) for p in parts)
     return total
+
+
+def test_the_package_attribute_kfib_is_the_module():
+    import fibpaths
+    import fibpaths.kfib as m
+    assert m is sys.modules["fibpaths.kfib"] is fibpaths.kfib
 
 
 def test_kfib_fibonacci():

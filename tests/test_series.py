@@ -82,11 +82,6 @@ def test_valuation():
     assert zero(6).valuation() == math.inf
 
 
-def test_is_integral():
-    assert poly([1, -3, 2], 4).is_integral()
-    assert not poly([1, Fraction(1, 2)], 4).is_integral()
-
-
 def test_truncate():
     s = poly([1, 2, 3], 5)
     assert s.truncate(2).order == 2
