@@ -34,6 +34,10 @@ makes its kernel calls, except for a product with a right-hand side that is
 zero at its own row's order, which it skips.  `solve` returns the Series a
 full-order solve gives, with the same order.
 
+`solve` first checks `order` and the automaton by the `_checks` rules and
+raises InvalidAutomaton naming the first bad part: `order`, `n_states`, a
+state number, a transition that is no (src, dst, weight) triple, or a weight.
+
 With every weight z, a linear chain counts Motzkin paths; the test suite
 checks `solve` there against the closed Motzkin generating function.
 """
@@ -54,7 +58,6 @@ __all__ = [
     "build_chain",
     "solve",
     "solve_linear_system",
-    "validate",
 ]
 
 
@@ -87,34 +90,26 @@ def _is_state(q, n: int) -> bool:
         return False
 
 
-def validate(auto: WeightedAutomaton) -> list[str]:
-    """Structural violations as human-readable strings (empty when valid)."""
-    return _problems(auto, 0)
-
-
-def _problems(auto: WeightedAutomaton, order: int) -> list[str]:
-    """`validate` with each weight checked at `order`: one pass for `solve`."""
+def _check(auto: WeightedAutomaton, order: int) -> None:
+    """Raise InvalidAutomaton naming the first bad part (module docstring)."""
     try:
+        check_size("order", order)
         n = check_size("n_states", auto.n_states)
-    except ValueError as exc:
-        return [str(exc)]
-    if n == 0:
-        return ["automaton needs at least one state"]
-    out = []
-    if not _is_state(auto.initial, n):
-        out.append("initial state %r is not a state number" % (auto.initial,))
-    for q in sorted(auto.finals, key=repr):
-        if not _is_state(q, n):
-            out.append("final state %r is not a state number" % (q,))
-    for idx, (src, dst, w) in enumerate(auto.transitions):
-        if not (_is_state(src, n) and _is_state(dst, n)):
-            out.append("transition %d endpoints (%r, %r) are not state numbers" % (idx, src, dst))
-            continue
-        try:
+        if not _is_state(auto.initial, n):
+            raise ValueError("initial state %r is not a state number" % (auto.initial,))
+        for q in sorted(auto.finals, key=repr):
+            if not _is_state(q, n):
+                raise ValueError("final state %r is not a state number" % (q,))
+        for idx, t in enumerate(auto.transitions):
+            if not isinstance(t, (tuple, list)) or len(t) != 3:
+                raise ValueError("transition %d is no (src, dst, weight) triple: %r" % (idx, t))
+            src, dst, w = t
+            if not (_is_state(src, n) and _is_state(dst, n)):
+                raise ValueError("transition %d endpoints (%r, %r) are not state numbers"
+                                 % (idx, src, dst))
             check_weight(w, "transition %d (%d->%d) weight" % (idx, src, dst), order)
-        except ValueError as exc:
-            out.append(str(exc))
-    return out
+    except ValueError as exc:
+        raise InvalidAutomaton(str(exc)) from None
 
 
 def solve_linear_system(rows, rhs):
@@ -123,20 +118,24 @@ def solve_linear_system(rows, rhs):
     val(W) >= 1 every pivot is a unit (see above).  SingularSystem names the
     first column whose pivot is missing or has constant term 0, as in a
     system that needs a row swap.  ValueError names the row of a malformed
-    system before any arithmetic: len(rhs) != len(rows), a column that is no
-    size below len(rows), or an entry or rhs[i] that is not a Series.  The
+    system before any arithmetic: rows or rhs that is no list or tuple,
+    len(rhs) != len(rows), a row that is no dict, a column that is no size
+    below len(rows), or an entry or rhs[i] that is not a Series.  The
     caller's rows and rhs stay unchanged.
 
     Row i is carried to the order of rhs[i]: a pivot, pivot-row entry,
     right-hand side or solution of lower order is zero-padded to it where
     it meets row i (see the precision rule above).
     """
-    rows = [dict(r) for r in rows]
-    rhs = list(rhs)
+    for name, seq in (("rows", rows), ("rhs", rhs)):
+        if not isinstance(seq, (list, tuple)):
+            raise ValueError("%s must be a list or tuple, got %r" % (name, seq))
     n = len(rows)
     if len(rhs) != n:
         raise ValueError("%d rows but %d right-hand sides" % (n, len(rhs)))
     for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError("row %d must be a dict, got %r" % (i, row))
         if not isinstance(rhs[i], Series):
             raise ValueError("row %d: right-hand side must be a Series, got %r" % (i, rhs[i]))
         for j, v in row.items():
@@ -144,6 +143,8 @@ def solve_linear_system(rows, rhs):
                 raise ValueError("row %d: column %r is not a size below %d" % (i, j, n))
             if not isinstance(v, Series):
                 raise ValueError("row %d, column %d: entry must be a Series, got %r" % (i, j, v))
+    rows = [dict(r) for r in rows]
+    rhs = list(rhs)
     for col in range(n):
         pivot_row = rows[col]
         pivot = pivot_row.get(col)
@@ -207,10 +208,8 @@ def _state_orders(auto: WeightedAutomaton, order: int) -> list[int]:
 def solve(auto: WeightedAutomaton, order: int) -> Series:
     """Generating function of the initial state, exact through `order`,
     carrying each state only as far as the module's precision rule needs.
-    Every weight must carry `order` coefficients (`_checks.check_weight`)."""
-    problems = _problems(auto, check_size("order", order))
-    if problems:
-        raise InvalidAutomaton("; ".join(problems))
+    InvalidAutomaton names the first bad part of `auto`, or a bad `order`."""
+    _check(auto, order)
     n = auto.n_states
     r = _state_orders(auto, order)
     rows = [{q: one(r[q])} for q in range(n)]

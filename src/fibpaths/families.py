@@ -248,16 +248,13 @@ def verify_methods(family: str, k: int, n_max: int, brute_max: int = 10,
     brute.check_budget("brute_max", top)
     reference = sequence(family, k, n_max, "closed").counts
     mismatches = []
-    for method in ("cf", "automaton", "formula"):
-        got = sequence(family, k, n_max, method,
-                       depth if method in DEPTH_METHODS else None).counts
-        for n in range(n_max + 1):
-            if got[n] != reference[n]:
-                mismatches.append(
-                    (family, k, n, "closed", method, reference[n], got[n])
-                )
-    for n in range(top + 1):
-        got_n = brute.count_paths(family, k, n)
-        if got_n != reference[n]:
-            mismatches.append((family, k, n, "closed", "brute", reference[n], got_n))
+    for method in ("cf", "automaton", "formula", "brute"):
+        if method == "brute":
+            got = [brute.count_paths(family, k, n) for n in range(top + 1)]
+        else:
+            got = sequence(family, k, n_max, method,
+                           depth if method in DEPTH_METHODS else None).counts
+        mismatches += [(family, k, n, "closed", method, want, value)
+                       for n, (want, value) in enumerate(zip(reference, got))
+                       if value != want]
     return mismatches

@@ -1,4 +1,4 @@
-"""Chain construction, validation, and the series linear solver."""
+"""Chain construction, the checks of `solve`, and the series linear solver."""
 
 import re
 
@@ -13,7 +13,6 @@ from fibpaths.automata import (
     build_chain,
     solve,
     solve_linear_system,
-    validate,
 )
 from fibpaths.contfrac import CFLevel, excursion_cf
 from fibpaths.series import one, poly, zero
@@ -25,42 +24,59 @@ def motzkin_chain(order, depth, all_final=False):
     return build_chain("linear", depth, unit_levels(order, depth + 1), all_final)
 
 
-def test_validate_accepts_chain():
-    assert validate(motzkin_chain(6, 3)) == []
-
-
-def test_validate_rejects_constant_term_weight():
-    auto = WeightedAutomaton(2, 0, frozenset({0}), ((0, 1, poly([1, 1], 4)),))
-    problems = validate(auto)
-    assert len(problems) == 1
-    assert "valuation" in problems[0]
-
-
-def test_validate_rejects_bad_states():
-    auto = WeightedAutomaton(2, 5, frozenset({7}), ((0, 3, poly([0, 1], 4)),))
-    assert len(validate(auto)) == 3
-
-
 Z = poly([0, 1], 4)
 
 
 @pytest.mark.parametrize(
-    "auto",
+    "auto, message",
     [
-        WeightedAutomaton(2.0, 0, [0], [(0, 1, Z)]),
-        WeightedAutomaton("2", 0, [0], [(0, 1, Z)]),
-        WeightedAutomaton(2, 0, [0], [(0.0, 1, Z)]),
-        WeightedAutomaton(2, 0, [0], [(0, "1", Z)]),
-        WeightedAutomaton(2, True, [0], [(0, 1, Z)]),
-        WeightedAutomaton(2, 0, [1.0], [(0, 1, Z)]),
+        (WeightedAutomaton(2.0, 0, [0], [(0, 1, Z)]),
+         "n_states must be a nonnegative integer, got 2.0"),
+        (WeightedAutomaton("2", 0, [0], [(0, 1, Z)]),
+         "n_states must be a nonnegative integer, got '2'"),
+        (WeightedAutomaton(2, 0, [0], [(0.0, 1, Z)]),
+         "transition 0 endpoints (0.0, 1) are not state numbers"),
+        (WeightedAutomaton(2, 0, [0], [(0, "1", Z)]),
+         "transition 0 endpoints (0, '1') are not state numbers"),
+        (WeightedAutomaton(2, True, [0], [(0, 1, Z)]),
+         "initial state True is not a state number"),
+        (WeightedAutomaton(2, 0, [1.0], [(0, 1, Z)]),
+         "final state 1.0 is not a state number"),
     ],
     ids=["n_states-float", "n_states-str", "src-float", "dst-str",
          "initial-bool", "final-float"],
 )
-def test_state_numbers_are_ints(auto):
-    assert len(validate(auto)) == 1
-    with pytest.raises(InvalidAutomaton):
+def test_state_numbers_are_ints(auto, message):
+    with pytest.raises(InvalidAutomaton, match="^%s$" % re.escape(message)):
         solve(auto, 4)
+
+
+@pytest.mark.parametrize(
+    "auto, order, message",
+    [
+        # the initial state comes before the finals and the transitions
+        (WeightedAutomaton(2, 5, {7}, [(0, 3, Z)]), 4,
+         "initial state 5 is not a state number"),
+        (WeightedAutomaton(2, 0, {7}, [(0, 3, Z)]), 4,
+         "final state 7 is not a state number"),
+        (WeightedAutomaton(0, 0, [], []), 4, "initial state 0 is not a state number"),
+        (WeightedAutomaton(2, 0, {0}, [(0, 1, poly([1, 1], 4))]), 4,
+         "transition 0 (0->1) weight must have valuation >= 1"),
+        (WeightedAutomaton(2, 0, [0], [(0, 1)]), 4,
+         "transition 0 is no (src, dst, weight) triple: (0, 1)"),
+        (WeightedAutomaton(2, 0, [0], [(0, 1, Z), (0, 1, Z, Z)]), 4,
+         "transition 1 is no (src, dst, weight) triple: (0, 1, %r, %r)" % (Z, Z)),
+        (WeightedAutomaton(2, 0, [0], [5]), 4,
+         "transition 0 is no (src, dst, weight) triple: 5"),
+        # `order` comes first
+        (WeightedAutomaton(2, 5, [0], [5]), -1, "order must be a nonnegative integer, got -1"),
+    ],
+    ids=["initial-first", "final", "no-states", "constant-term-weight", "pair", "quadruple",
+         "not-a-sequence", "negative-order"],
+)
+def test_solve_names_the_first_problem(auto, order, message):
+    with pytest.raises(InvalidAutomaton, match="^%s$" % re.escape(message)):
+        solve(auto, order)
 
 
 def test_solve_rejects_invalid():
@@ -77,12 +93,12 @@ def test_solve_rejects_short_weights():
 
 
 def test_solve_names_a_short_weight():
-    # one pass names the weight as validate does, with the order solve reads
+    # a weight is checked at the order solve reads it at
     auto = WeightedAutomaton(2, 0, {0}, ((0, 1, poly([0, 1], 8)), (1, 0, poly([0, 1], 3))))
     with pytest.raises(InvalidAutomaton, match=r"^transition 1 \(1->0\) weight must have "
                                                r"order >= 8, got 3$"):
         solve(auto, 8)
-    assert validate(auto) == []
+    assert solve(auto, 3) == poly([1, 0, 1], 3)  # 1/(1 - z^2)
 
 
 def test_solve_checks_each_weight_once(monkeypatch):
@@ -253,9 +269,14 @@ def test_solve_linear_system_refuses_a_system_that_needs_a_row_swap():
          "row 1, column 1: entry must be a Series, got 1"),
         ([{0: one(3)}, {1: one(3)}], [one(3), 0],
          "row 1: right-hand side must be a Series, got 0"),
+        ([5], [one(2)], "row 0 must be a dict, got 5"),
+        ([[1, 2]], [one(2)], "row 0 must be a dict, got [1, 2]"),
+        ([{0: one(3)}, None], [one(3), zero(3)], "row 1 must be a dict, got None"),
+        ([{0: one(3)}], None, "rhs must be a list or tuple, got None"),
+        (None, [one(3)], "rows must be a list or tuple, got None"),
     ],
     ids=["lengths", "column-too-large", "column-negative", "entry-not-series",
-         "rhs-not-series"],
+         "rhs-not-series", "row-int", "row-list", "row-none", "rhs-none", "rows-none"],
 )
 def test_solve_linear_system_refuses_a_malformed_system(rows, rhs, message):
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):

@@ -293,6 +293,13 @@ def test_verify_methods_compares_the_grand_prefix_formula(monkeypatch):
     assert got == [("grand-prefix", 2, 4, "closed", "formula", 181, 182)]
 
 
+def test_verify_methods_compares_brute(monkeypatch):
+    real = brute.count_paths
+    monkeypatch.setattr(brute, "count_paths",
+                        lambda family, k, n: real(family, k, n) + (n == 3))
+    assert verify_methods("fib", 1, 5) == [("fib", 1, 3, "closed", "brute", 8, 9)]
+
+
 def test_verify_methods_brute_window():
     # brute_max caps the enumeration range, not the closed-form range
     assert verify_methods("grand-prefix", 1, 20, brute_max=5) == []

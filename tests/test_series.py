@@ -292,5 +292,33 @@ def test_series_of_different_orders_are_unequal():
     assert poly([1, 2], 5) != poly([1, 3], 5)
 
 
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: poly([1, 1], 3) ** -1, TypeError),
+        (lambda: poly([1, 1], 3) / 0, ZeroDivisionError),
+        (lambda: Series([0, 0]) / poly([0, 0, 0, 1], 5), OrderExceeded),
+    ],
+    ids=["negative-power", "scalar-zero-divisor", "no-quotient-coefficient-left"],
+)
+def test_an_operation_without_a_result_raises(make, error):
+    with pytest.raises(error):
+        make()
+
+
+@pytest.mark.parametrize(
+    "got, expected",
+    [
+        (lambda: poly([1, 1], 3) == 1, False),
+        (lambda: poly([2, 1], 2) * Fraction(1, 2), Series([1, Fraction(1, 2), 0])),
+        # past eight coefficients the display ends with ", ...], order=N)"
+        (lambda: repr(one(11)), "Series([1, 0, 0, 0, 0, 0, 0, 0, ...], order=11)"),
+    ],
+    ids=["equal-to-an-int", "fraction-scalar", "long-repr"],
+)
+def test_a_non_series_operand_and_a_long_repr(got, expected):
+    assert got() == expected
+
+
 def test_repr_smoke():
     assert "order=4" in repr(poly([1, 2], 4))
