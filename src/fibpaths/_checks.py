@@ -63,11 +63,13 @@ def check_weight(w, what, order):
 
 
 def check_levels(levels, depth, order, primed=False):
-    """A chain truncated at `depth`: levels 0..depth, each weight readable
-    at `order`; `primed` also asks for the mirror weights f', g' and, above
-    level 0 (whose loop both sides share), h'."""
+    """A chain truncated at `depth`: a list or tuple of levels 0..depth,
+    each weight readable at `order`; `primed` also asks for the mirror
+    weights f', g' and, above level 0 (whose loop both sides share), h'."""
     check_size("depth", depth)
     check_size("order", order)
+    if not isinstance(levels, (list, tuple)):
+        raise ValueError("levels must be a list or tuple of levels, got %r" % (levels,))
     if len(levels) <= depth:
         raise ValueError(
             "need %d levels for depth %d, got %d" % (depth + 1, depth, len(levels))

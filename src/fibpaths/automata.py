@@ -6,11 +6,13 @@ q counts weighted walks from q into the final set,
 
     L_q = sum_edges w(q -> q') L_{q'} + [q in finals],
 
-a linear system (I - W) L = F over the series ring, solved exactly by
-sparse elimination in row order with unit pivots: as val(W) >= 1,
-eliminating column c subtracts factor * row c, val(factor) >= 1, from each
-later row, so every diagonal entry keeps constant term 1 and every other
-entry valuation >= 1, in the rows the precision rule truncates or pads too.
+a linear system (I - W) L = F over the series ring.  `solve`, the one
+entry point, builds it and solves it exactly by sparse elimination in row
+order with unit pivots (`_eliminate`): as val(W) >= 1, eliminating column c
+subtracts factor * row c, val(factor) >= 1, from each later row, so every
+diagonal entry keeps constant term 1 and every other entry valuation >= 1,
+in the rows the precision rule truncates or pads too.  The pivot check that
+raises SingularSystem (exit 4 in the CLI) guards this invariant.
 Chains built from CF levels (`build_chain`) reproduce the continued-fraction
 evaluators state by state: a chain truncated at depth s is exact through
 z^(2s+1) when only the level-0 state is final (the first walk it misses
@@ -35,8 +37,11 @@ zero at its own row's order, which it skips.  `solve` returns the Series a
 full-order solve gives, with the same order.
 
 `solve` first checks `order` and the automaton by the `_checks` rules and
-raises InvalidAutomaton naming the first bad part: `order`, `n_states`, a
-state number, a transition that is no (src, dst, weight) triple, or a weight.
+raises InvalidAutomaton naming the first bad part: `order`, an `auto` that is
+no WeightedAutomaton, `n_states`, a state number, a transition that is no
+(src, dst, weight) triple, or a weight.  Constructing a WeightedAutomaton
+raises InvalidAutomaton naming `finals` or `transitions` when it is no
+iterable (of hashable states, for `finals`).
 
 With every weight z, a linear chain counts Motzkin paths; the test suite
 checks `solve` there against the closed Motzkin generating function.
@@ -57,7 +62,6 @@ __all__ = [
     "WeightedAutomaton",
     "build_chain",
     "solve",
-    "solve_linear_system",
 ]
 
 
@@ -77,13 +81,21 @@ class WeightedAutomaton(
     __slots__ = ()
 
     def __new__(cls, n_states, initial, finals, transitions):
-        return super().__new__(
-            cls, n_states, initial, frozenset(finals), tuple(transitions)
-        )
+        try:
+            finals = frozenset(finals)
+        except TypeError:
+            raise InvalidAutomaton("finals must be an iterable of state numbers, got %r"
+                                   % (finals,)) from None
+        try:
+            transitions = tuple(transitions)
+        except TypeError:
+            raise InvalidAutomaton("transitions must be an iterable of (src, dst, weight) "
+                                   "triples, got %r" % (transitions,)) from None
+        return super().__new__(cls, n_states, initial, finals, transitions)
 
 
 def _is_state(q, n: int) -> bool:
-    """Whether q is a state or column number: a size (`check_size`) below n."""
+    """Whether q is a state number: a size (`check_size`) below n."""
     try:
         return check_size("state", q) < n
     except ValueError:
@@ -94,6 +106,8 @@ def _check(auto: WeightedAutomaton, order: int) -> None:
     """Raise InvalidAutomaton naming the first bad part (module docstring)."""
     try:
         check_size("order", order)
+        if not isinstance(auto, WeightedAutomaton):
+            raise ValueError("auto must be a WeightedAutomaton, got %r" % (auto,))
         n = check_size("n_states", auto.n_states)
         if not _is_state(auto.initial, n):
             raise ValueError("initial state %r is not a state number" % (auto.initial,))
@@ -112,39 +126,14 @@ def _check(auto: WeightedAutomaton, order: int) -> None:
         raise InvalidAutomaton(str(exc)) from None
 
 
-def solve_linear_system(rows, rhs):
+def _eliminate(rows, rhs):
     """Solve M x = rhs over the series ring, M given as sparse rows (dicts
-    column -> Series), by elimination in row order; for M = I - W with
-    val(W) >= 1 every pivot is a unit (see above).  SingularSystem names the
-    first column whose pivot is missing or has constant term 0, as in a
-    system that needs a row swap.  ValueError names the row of a malformed
-    system before any arithmetic: rows or rhs that is no list or tuple,
-    len(rhs) != len(rows), a row that is no dict, a column that is no size
-    below len(rows), or an entry or rhs[i] that is not a Series.  The
-    caller's rows and rhs stay unchanged.
-
-    Row i is carried to the order of rhs[i]: a pivot, pivot-row entry,
-    right-hand side or solution of lower order is zero-padded to it where
-    it meets row i (see the precision rule above).
-    """
-    for name, seq in (("rows", rows), ("rhs", rhs)):
-        if not isinstance(seq, (list, tuple)):
-            raise ValueError("%s must be a list or tuple, got %r" % (name, seq))
+    column -> Series), by elimination in row order, overwriting rows and
+    rhs.  For M = I - W with val(W) >= 1 every pivot is a unit (module
+    docstring); SingularSystem names the first column whose pivot is
+    missing or has constant term 0.  Row i is carried to the order of
+    rhs[i], padding what meets it (the precision rule)."""
     n = len(rows)
-    if len(rhs) != n:
-        raise ValueError("%d rows but %d right-hand sides" % (n, len(rhs)))
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise ValueError("row %d must be a dict, got %r" % (i, row))
-        if not isinstance(rhs[i], Series):
-            raise ValueError("row %d: right-hand side must be a Series, got %r" % (i, rhs[i]))
-        for j, v in row.items():
-            if not _is_state(j, n):
-                raise ValueError("row %d: column %r is not a size below %d" % (i, j, n))
-            if not isinstance(v, Series):
-                raise ValueError("row %d, column %d: entry must be a Series, got %r" % (i, j, v))
-    rows = [dict(r) for r in rows]
-    rhs = list(rhs)
     for col in range(n):
         pivot_row = rows[col]
         pivot = pivot_row.get(col)
@@ -220,8 +209,7 @@ def solve(auto: WeightedAutomaton, order: int) -> Series:
         cur = rows[src].get(dst)
         rows[src][dst] = (cur - w) if cur is not None else -w
     rhs = [one(r[q]) if q in auto.finals else zero(r[q]) for q in range(n)]
-    xs = solve_linear_system(rows, rhs)
-    return xs[auto.initial]
+    return _eliminate(rows, rhs)[auto.initial]
 
 
 def build_chain(kind: str, depth: int, levels, all_final: bool = False) -> WeightedAutomaton:

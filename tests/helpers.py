@@ -4,7 +4,6 @@ from fractions import Fraction
 from math import factorial, prod
 
 from fibpaths._checks import CONSTRAINTS, check_k, check_levels, check_size
-from fibpaths.automata import solve_linear_system
 from fibpaths.contfrac import CFLevel
 from fibpaths.families import horizontal_weight
 from fibpaths.kfib import binom, catalan, convolved_binomial, kfib
@@ -239,8 +238,9 @@ def grand_meander_cf_reference(levels, depth, order):
 
 def solve_reference(auto, order):
     """The initial state's generating function with every state's row,
-    right-hand side and weights carried through the full `order`; on rows
-    of one order the elimination pads nothing."""
+    right-hand side and weights carried through the full `order`, by its own
+    elimination in row order: it skips the zero entries `solve` skips, so it
+    makes the kernel calls of a full-order solve, and pads nothing."""
     n = auto.n_states
     rows = [{i: one(order)} for i in range(n)]
     for src, dst, w in auto.transitions:
@@ -250,7 +250,24 @@ def solve_reference(auto, order):
         cur = rows[src].get(dst)
         rows[src][dst] = (cur - w) if cur is not None else -w
     rhs = [one(order) if q in auto.finals else zero(order) for q in range(n)]
-    return solve_linear_system(rows, rhs)[auto.initial]
+    for col in range(n):
+        for i in range(col + 1, n):
+            entry = rows[i].pop(col, zero(order))
+            if entry.is_zero():
+                continue
+            factor = entry / rows[col][col]
+            for j, v in rows[col].items():
+                if j > col and not v.is_zero():
+                    rows[i][j] = rows[i].get(j, zero(order)) - factor * v
+            if not rhs[col].is_zero():
+                rhs[i] = rhs[i] - factor * rhs[col]
+    xs = [None] * n
+    for i in range(n - 1, -1, -1):
+        for j, v in rows[i].items():
+            if j > i and not v.is_zero():
+                rhs[i] = rhs[i] - v * xs[j]
+        xs[i] = rhs[i] / rows[i][i]
+    return xs[auto.initial]
 
 
 def coeff_fib_reference(k, t):

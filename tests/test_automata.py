@@ -1,4 +1,4 @@
-"""Chain construction, the checks of `solve`, and the series linear solver."""
+"""Chain construction, the checks of `solve`, and its series eliminator."""
 
 import re
 
@@ -12,7 +12,6 @@ from fibpaths.automata import (
     WeightedAutomaton,
     build_chain,
     solve,
-    solve_linear_system,
 )
 from fibpaths.contfrac import CFLevel, excursion_cf
 from fibpaths.series import one, poly, zero
@@ -70,13 +69,30 @@ def test_state_numbers_are_ints(auto, message):
          "transition 0 is no (src, dst, weight) triple: 5"),
         # `order` comes first
         (WeightedAutomaton(2, 5, [0], [5]), -1, "order must be a nonnegative integer, got -1"),
+        ((2, 0, {0}, [(0, 1, Z)]), 4,
+         "auto must be a WeightedAutomaton, got (2, 0, {0}, [(0, 1, %r)])" % Z),
+        (None, 4, "auto must be a WeightedAutomaton, got None"),
     ],
     ids=["initial-first", "final", "no-states", "constant-term-weight", "pair", "quadruple",
-         "not-a-sequence", "negative-order"],
+         "not-a-sequence", "negative-order", "plain-tuple", "none"],
 )
 def test_solve_names_the_first_problem(auto, order, message):
     with pytest.raises(InvalidAutomaton, match="^%s$" % re.escape(message)):
         solve(auto, order)
+
+
+@pytest.mark.parametrize(
+    "finals, transitions, message",
+    [
+        (5, [], "finals must be an iterable of state numbers, got 5"),
+        ([[0]], [], "finals must be an iterable of state numbers, got [[0]]"),
+        ([0], None, "transitions must be an iterable of (src, dst, weight) triples, got None"),
+    ],
+    ids=["finals-int", "finals-unhashable", "transitions-none"],
+)
+def test_construction_names_finals_or_transitions(finals, transitions, message):
+    with pytest.raises(InvalidAutomaton, match="^%s$" % re.escape(message)):
+        WeightedAutomaton(2, 0, finals, transitions)
 
 
 def test_solve_rejects_invalid():
@@ -191,18 +207,18 @@ def test_build_chain_requires_primed_weights():
 
 
 @pytest.mark.parametrize(
-    "chain, what",
+    "chain, message",
     [
-        (("linear", 1, [None, None]), "f[0]"),
-        (("linear", 1, [CFLevel(None, Z, Z), CFLevel(Z, Z, Z)]), "f[0]"),
+        (("linear", 1, [None, None]), "f[0] must be a Series, got None"),
+        (("linear", 1, [CFLevel(None, Z, Z), CFLevel(Z, Z, Z)]), "f[0] must be a Series, got None"),
         (("bilinear", 2, [CFLevel(Z, Z, Z, Z, Z), CFLevel(Z, Z, Z, Z, None, Z),
-                          CFLevel(Z, Z, Z, Z, Z, Z)]), "g'[1]"),
+                          CFLevel(Z, Z, Z, Z, Z, Z)]), "g'[1] must be a Series, got None"),
+        (("linear", 1, None), "levels must be a list or tuple of levels, got None"),
     ],
-    ids=["no-level", "no-step", "no-primed-step"],
+    ids=["no-level", "no-step", "no-primed-step", "no-chain"],
 )
-def test_build_chain_names_a_missing_weight(chain, what):
-    with pytest.raises(InvalidAutomaton, match="^%s must be a Series, got None$"
-                                               % re.escape(what)):
+def test_build_chain_names_a_missing_weight(chain, message):
+    with pytest.raises(InvalidAutomaton, match="^%s$" % re.escape(message)):
         build_chain(*chain)
 
 
@@ -241,61 +257,25 @@ def test_enlarging_finals_never_decreases_counts():
     )
 
 
-def test_solve_linear_system_singular():
+def test_eliminate_singular():
     z = poly([0, 1], 6)
     rows = [{0: z, 1: z}, {0: z, 1: z}]
     rhs = [one(6), zero(6)]
     with pytest.raises(SingularSystem):
-        solve_linear_system(rows, rhs)
+        automata._eliminate(rows, rhs)
 
 
-def test_solve_linear_system_refuses_a_system_that_needs_a_row_swap():
+def test_eliminate_refuses_a_system_that_needs_a_row_swap():
     # [z, 1; 1, z] is invertible, but its pivot in row order, z, is no unit
     z = poly([0, 1], 6)
     rows = [{0: z, 1: one(6)}, {0: one(6), 1: z}]
     rhs = [one(6), zero(6)]
     with pytest.raises(SingularSystem, match="^column 0 "):
-        solve_linear_system(rows, rhs)
-
-
-@pytest.mark.parametrize(
-    "rows, rhs, message",
-    [
-        ([{0: one(3)}], [one(3), zero(3)], "1 rows but 2 right-hand sides"),
-        ([{0: one(3), 1: one(3)}], [one(3)], "row 0: column 1 is not a size below 1"),
-        ([{0: one(3)}, {-1: one(3), 1: one(3)}], [one(3), zero(3)],
-         "row 1: column -1 is not a size below 2"),
-        ([{0: one(3)}, {1: 1}], [one(3), zero(3)],
-         "row 1, column 1: entry must be a Series, got 1"),
-        ([{0: one(3)}, {1: one(3)}], [one(3), 0],
-         "row 1: right-hand side must be a Series, got 0"),
-        ([5], [one(2)], "row 0 must be a dict, got 5"),
-        ([[1, 2]], [one(2)], "row 0 must be a dict, got [1, 2]"),
-        ([{0: one(3)}, None], [one(3), zero(3)], "row 1 must be a dict, got None"),
-        ([{0: one(3)}], None, "rhs must be a list or tuple, got None"),
-        (None, [one(3)], "rows must be a list or tuple, got None"),
-    ],
-    ids=["lengths", "column-too-large", "column-negative", "entry-not-series",
-         "rhs-not-series", "row-int", "row-list", "row-none", "rhs-none", "rows-none"],
-)
-def test_solve_linear_system_refuses_a_malformed_system(rows, rhs, message):
-    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
-        solve_linear_system(rows, rhs)
-
-
-def test_solve_linear_system_leaves_its_arguments_unchanged():
-    z = poly([0, 1], 6)
-    rows = [{0: one(6), 1: -z}, {0: -z, 1: one(6) - z}]
-    rhs = [one(6), zero(6)]
-    before = ([dict(r) for r in rows], list(rhs))
-    xs = solve_linear_system(rows, rhs)
-    # x0 = 1 + z x1, x1 = z x0 + z x1: x1 = z/(1 - z - z^2)
-    assert xs[1] == z / poly([1, -1, -1], 6)
-    assert (rows, rhs) == before
+        automata._eliminate(rows, rhs)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
-def test_solve_linear_system_gives_each_x_at_its_rhs_order(reverse):
+def test_eliminate_gives_each_x_at_its_rhs_order(reverse):
     # x0 = 1 + z x1, x1 = z x0 + z x2, x2 = z x1, with rows carried through
     # z^6, z^5 and z^4: x0 = (1 - z^2)/(1 - 2z^2), x1 = z/(1 - 2z^2) and
     # x2 = z^2/(1 - 2z^2).  Reversed, elimination meets a pivot of lower
@@ -311,7 +291,7 @@ def test_solve_linear_system_gives_each_x_at_its_rhs_order(reverse):
     rhs = [None] * 3
     for q, r in enumerate(orders):
         rhs[at(q)] = one(r) if q == 0 else zero(r)
-    xs = solve_linear_system(rows, rhs)
+    xs = automata._eliminate(rows, rhs)
     den = poly([1, 0, -2], 6)
     expected = [poly([1, 0, -1], 6) / den, poly([0, 1], 6) / den, poly([0, 0, 1], 6) / den]
     for q, r in enumerate(orders):

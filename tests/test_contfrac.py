@@ -72,6 +72,14 @@ def test_excursion_cf_needs_enough_levels():
         excursion_cf(unit_levels(6, 2), 2, 6)
 
 
+@pytest.mark.parametrize("levels", [None, 5])
+@pytest.mark.parametrize("cf", [excursion_cf, grand_excursion_cf, meander_cf, grand_meander_cf])
+def test_a_chain_that_is_no_list_or_tuple_is_refused(cf, levels):
+    with pytest.raises(ValueError, match="^levels must be a list or tuple of levels, got %r$"
+                                         % levels):
+        cf(levels, 0, 3)
+
+
 def test_excursion_cf_rejects_constant_term_weights():
     bad = [CFLevel(poly([1, 1], 6), poly([0, 1], 6), zero(6))] * 2
     with pytest.raises(ValueError):
