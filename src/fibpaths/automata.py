@@ -38,10 +38,11 @@ full-order solve gives, with the same order.
 
 `solve` first checks `order` and the automaton by the `_checks` rules and
 raises InvalidAutomaton naming the first bad part: `order`, an `auto` that is
-no WeightedAutomaton, `n_states`, a state number, a transition that is no
-(src, dst, weight) triple, or a weight.  Constructing a WeightedAutomaton
-raises InvalidAutomaton naming `finals` or `transitions` when it is no
-iterable (of hashable states, for `finals`).
+no WeightedAutomaton, `n_states`, the initial state, `finals` when it is no
+iterable of hashable states, a final state, `transitions` when it is no
+iterable, a transition that is no (src, dst, weight) triple, or a weight.
+It reads `finals` and `transitions` once, so the class, `_make`, `_replace`
+and one-shot iterators give the same count.
 
 With every weight z, a linear chain counts Motzkin paths; the test suite
 checks `solve` there against the closed Motzkin generating function.
@@ -80,19 +81,6 @@ class WeightedAutomaton(
 
     __slots__ = ()
 
-    def __new__(cls, n_states, initial, finals, transitions):
-        try:
-            finals = frozenset(finals)
-        except TypeError:
-            raise InvalidAutomaton("finals must be an iterable of state numbers, got %r"
-                                   % (finals,)) from None
-        try:
-            transitions = tuple(transitions)
-        except TypeError:
-            raise InvalidAutomaton("transitions must be an iterable of (src, dst, weight) "
-                                   "triples, got %r" % (transitions,)) from None
-        return super().__new__(cls, n_states, initial, finals, transitions)
-
 
 def _is_state(q, n: int) -> bool:
     """Whether q is a state number: a size (`check_size`) below n."""
@@ -102,8 +90,9 @@ def _is_state(q, n: int) -> bool:
         return False
 
 
-def _check(auto: WeightedAutomaton, order: int) -> None:
-    """Raise InvalidAutomaton naming the first bad part (module docstring)."""
+def _check(auto: WeightedAutomaton, order: int) -> WeightedAutomaton:
+    """Raise InvalidAutomaton naming the first bad part (module docstring);
+    return `auto` with `finals` read into a frozenset, `transitions` a tuple."""
     try:
         check_size("order", order)
         if not isinstance(auto, WeightedAutomaton):
@@ -111,10 +100,20 @@ def _check(auto: WeightedAutomaton, order: int) -> None:
         n = check_size("n_states", auto.n_states)
         if not _is_state(auto.initial, n):
             raise ValueError("initial state %r is not a state number" % (auto.initial,))
-        for q in sorted(auto.finals, key=repr):
+        try:
+            finals = frozenset(auto.finals)
+        except TypeError:
+            raise ValueError("finals must be an iterable of state numbers, got %r"
+                             % (auto.finals,)) from None
+        for q in sorted(finals, key=repr):
             if not _is_state(q, n):
                 raise ValueError("final state %r is not a state number" % (q,))
-        for idx, t in enumerate(auto.transitions):
+        try:
+            transitions = tuple(auto.transitions)
+        except TypeError:
+            raise ValueError("transitions must be an iterable of (src, dst, weight) "
+                             "triples, got %r" % (auto.transitions,)) from None
+        for idx, t in enumerate(transitions):
             if not isinstance(t, (tuple, list)) or len(t) != 3:
                 raise ValueError("transition %d is no (src, dst, weight) triple: %r" % (idx, t))
             src, dst, w = t
@@ -124,6 +123,7 @@ def _check(auto: WeightedAutomaton, order: int) -> None:
             check_weight(w, "transition %d (%d->%d) weight" % (idx, src, dst), order)
     except ValueError as exc:
         raise InvalidAutomaton(str(exc)) from None
+    return auto._replace(finals=finals, transitions=transitions)
 
 
 def _eliminate(rows, rhs):
@@ -198,7 +198,7 @@ def solve(auto: WeightedAutomaton, order: int) -> Series:
     """Generating function of the initial state, exact through `order`,
     carrying each state only as far as the module's precision rule needs.
     InvalidAutomaton names the first bad part of `auto`, or a bad `order`."""
-    _check(auto, order)
+    auto = _check(auto, order)
     n = auto.n_states
     r = _state_orders(auto, order)
     rows = [{q: one(r[q])} for q in range(n)]
@@ -241,5 +241,5 @@ def build_chain(kind: str, depth: int, levels, all_final: bool = False) -> Weigh
             if bilinear:
                 steps += [(below, below - 1, lvl.gp), (below - 1, below, lvl.fp)]
     n = base + depth + 1
-    return WeightedAutomaton(n, base, range(n) if all_final else (base,),
-                             [t for t in loops if not t[2].is_zero()] + steps)
+    return WeightedAutomaton(n, base, frozenset(range(n) if all_final else (base,)),
+                             tuple([t for t in loops if not t[2].is_zero()] + steps))

@@ -205,9 +205,6 @@ class PathCountReport(namedtuple("PathCountReport", "family k method counts")):
 
     __slots__ = ()
 
-    def __new__(cls, family, k, method, counts):
-        return super().__new__(cls, family, k, method, tuple(counts))
-
     @property
     def n_max(self) -> int:
         return len(self.counts) - 1
@@ -229,7 +226,7 @@ def sequence(family: str, k: int, n_max: int, method: str = "closed",
     nonnegative integer before anything is emitted."""
     check_size("n_max", n_max)
     return PathCountReport(family, k, method,
-                           map(int, gf(family, k, n_max, method, depth).coefficients()))
+                           tuple(map(int, gf(family, k, n_max, method, depth).coefficients())))
 
 
 def verify_methods(family: str, k: int, n_max: int, brute_max: int = 10,
@@ -239,13 +236,15 @@ def verify_methods(family: str, k: int, n_max: int, brute_max: int = 10,
     Returns one mismatch tuple (family, k, n, method_a, method_b, value_a,
     value_b) for every n at which a method differs, by method and then by
     n; empty means full agreement.  `depth` truncates cf and automaton only.
-    A brute-force window past COUNT_BUDGET is refused before anything is
-    counted.
+    A bad `depth` and a brute-force window past COUNT_BUDGET are refused
+    before anything is counted.
     """
     check_family(family)
     check_k(k)
     top = min(check_size("brute_max", brute_max), check_size("n_max", n_max))
     brute.check_budget("brute_max", top)
+    if depth is not None:
+        check_size("depth", depth)
     reference = sequence(family, k, n_max, "closed").counts
     mismatches = []
     for method in ("cf", "automaton", "formula", "brute"):

@@ -72,15 +72,53 @@ def test_state_numbers_are_ints(auto, message):
         ((2, 0, {0}, [(0, 1, Z)]), 4,
          "auto must be a WeightedAutomaton, got (2, 0, {0}, [(0, 1, %r)])" % Z),
         (None, 4, "auto must be a WeightedAutomaton, got None"),
+        # `finals` and `transitions` are read by solve, after the initial
+        # state and each in its turn
+        (WeightedAutomaton(2, 5, 5, None), 4, "initial state 5 is not a state number"),
+        (WeightedAutomaton(2, 0, 5, []), 4, "finals must be an iterable of state numbers, got 5"),
+        (WeightedAutomaton(2, 0, [[0]], []), 4,
+         "finals must be an iterable of state numbers, got [[0]]"),
+        (WeightedAutomaton(2, 0, [7], None), 4, "final state 7 is not a state number"),
+        (WeightedAutomaton(2, 0, [0], None), 4,
+         "transitions must be an iterable of (src, dst, weight) triples, got None"),
     ],
     ids=["initial-first", "final", "no-states", "constant-term-weight", "pair", "quadruple",
-         "not-a-sequence", "negative-order", "plain-tuple", "none"],
+         "not-a-sequence", "negative-order", "plain-tuple", "none", "initial-before-finals",
+         "finals-int", "finals-unhashable", "final-before-transitions", "transitions-none"],
 )
 def test_solve_names_the_first_problem(auto, order, message):
     with pytest.raises(InvalidAutomaton, match="^%s$" % re.escape(message)):
         solve(auto, order)
 
 
+# one two-state automaton built four ways: by the class, by `_make`, by
+# `_replace` of another record, and from one-shot iterators
+ROUTES = {
+    "class": lambda finals, transitions: WeightedAutomaton(2, 0, finals, transitions),
+    "make": lambda finals, transitions: WeightedAutomaton._make([2, 0, finals, transitions]),
+    "replace": lambda finals, transitions: WeightedAutomaton(2, 1, [1], [(1, 1, Z)])._replace(
+        initial=0, finals=finals, transitions=transitions),
+    "iterators": lambda finals, transitions: WeightedAutomaton(2, 1, [1], [(1, 1, Z)])._replace(
+        initial=0, finals=(q for q in finals), transitions=iter(transitions)),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize(
+    "finals, transitions, coefficients",
+    [
+        ([0], [(0, 1, Z), (1, 0, Z)], [1, 0, 1, 0, 1]),  # 1/(1 - z^2)
+        ([0], [(0, 0, Z)], [1, 1, 1, 1, 1]),  # 1/(1 - z)
+        ([0, 1], [(0, 1, Z)], [1, 1]),  # 1 + z
+    ],
+    ids=["cycle", "loop", "step"],
+)
+def test_every_construction_route_gives_the_same_series(route, finals, transitions,
+                                                        coefficients):
+    assert solve(ROUTES[route](finals, transitions), 4) == poly(coefficients, 4)
+
+
+@pytest.mark.parametrize("route", ["class", "make", "replace"])
 @pytest.mark.parametrize(
     "finals, transitions, message",
     [
@@ -90,9 +128,10 @@ def test_solve_names_the_first_problem(auto, order, message):
     ],
     ids=["finals-int", "finals-unhashable", "transitions-none"],
 )
-def test_construction_names_finals_or_transitions(finals, transitions, message):
+def test_every_construction_route_gives_the_same_refusal(route, finals, transitions, message):
+    auto = ROUTES[route](finals, transitions)
     with pytest.raises(InvalidAutomaton, match="^%s$" % re.escape(message)):
-        WeightedAutomaton(2, 0, finals, transitions)
+        solve(auto, 4)
 
 
 def test_solve_rejects_invalid():
@@ -192,13 +231,13 @@ def test_build_chain_makes_level_i_state_base_plus_i(all_final):
     linear = [(0, 0, h[0]), (1, 1, h[1]), (2, 2, h[2]),
               (0, 1, f[0]), (1, 0, g[0]), (1, 2, f[1]), (2, 1, g[1])]
     assert build_chain("linear", 2, levels, all_final) == WeightedAutomaton(
-        3, 0, range(3) if all_final else {0}, linear)
+        3, 0, frozenset(range(3) if all_final else {0}), tuple(linear))
     # base 2: level i is state 2 + i, level -i is state 2 - i
     bilinear = [(2, 2, h[0]), (3, 3, h[1]), (1, 1, hp[1]), (4, 4, h[2]), (0, 0, hp[2]),
                 (2, 3, f[0]), (3, 2, g[0]), (2, 1, gp[0]), (1, 2, fp[0]),
                 (3, 4, f[1]), (4, 3, g[1]), (1, 0, gp[1]), (0, 1, fp[1])]
     assert build_chain("bilinear", 2, levels, all_final) == WeightedAutomaton(
-        5, 2, range(5) if all_final else {2}, bilinear)
+        5, 2, frozenset(range(5) if all_final else {2}), tuple(bilinear))
 
 
 def test_build_chain_requires_primed_weights():

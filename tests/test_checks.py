@@ -1,8 +1,13 @@
 """The input contract: every entry point refuses a bad k or size the same way,
 and the names the perfbench tracer patches stay where it looks for them."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
+import fibpaths
 from fibpaths import brute, contfrac, families
 from fibpaths._checks import CONSTRAINTS, DEPTH_METHODS, FAMILIES, METHODS, check_k
 from fibpaths.automata import build_chain, solve
@@ -140,10 +145,42 @@ def test_brute_windows_past_the_budget_are_refused_before_counting(monkeypatch):
     monkeypatch.setattr(families, "gf", no_counting)
     with pytest.raises(BudgetExceeded, match="brute_max: length 1001 .* budget 1000"):
         verify_methods("fib", 2, 1001, brute_max=1001)
+    # a bad depth too, though it only reaches the cf and automaton passes
+    for depth in (-1, True, 2.0):
+        with pytest.raises(ValueError, match="^depth must be a nonnegative integer"):
+            verify_methods("fib", 2, 30, 5, depth=depth)
+
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    """perfbench/tracing.py as a module of its own, imported by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_what_the_tracer_patches_is_still_there(monkeypatch):
-    for cached in (convolved_binomial, convolved_sum):
+    # every name perfbench/tracing.py patches or reads, from its own lists
+    tracing = load_tracing()
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    mods = tracing.load_package(Path(fibpaths.__file__).parent.parent)
+    for owner, names in [
+        (mods["kernels"], tracing.KERNELS),
+        (mods["series"].Series, tracing.SERIES_OPS),
+        (mods["contfrac"], tracing.CF_FUNCS + tracing.CLOSED_FUNCS),
+        (mods["automata"], ("solve",)),
+        (mods["families"], ("gf",)),
+        (mods["brute"], ("count_paths",)),
+        (mods["cli"], ("main",)),
+    ]:
+        for name in names:
+            assert callable(getattr(owner, name, None)), name
+    assert isinstance(mods["package"].BACKEND, str)
+    kfib_module = mods["kfib"]
+    for cached in (kfib_module.convolved_binomial, kfib_module.convolved_sum):
         cached.cache_clear()
         cached(2, 3, 1)
         assert cached.cache_info().misses >= 1
