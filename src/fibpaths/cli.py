@@ -2,7 +2,8 @@
 
     fibpaths seq     print one family's counts by one method
     fibpaths tables  recompute the published tables and diff them
-    fibpaths verify  check every method against `closed` (PASS: all agree)
+    fibpaths verify  check every method against `closed`, and `closed`
+                     against the published rows for k <= 4 (PASS: all agree)
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 4 internal
 inconsistency (negative count, non-integral or singular results); exit code

@@ -19,7 +19,8 @@ Methods:
     brute      weights of the actual paths, summed step by step (budgeted)
 
 Every method is defined for every family, and all five agree exactly;
-`verify_methods` plays them against each other.
+`verify_methods` plays them against each other, and `closed` against the
+published row of `tables` for k, where there is one.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from ._checks import (CONSTRAINTS, DEPTH_METHODS, FAMILIES, METHODS,
                       check_depth_method, check_family, check_k, check_method,
                       check_size)
 from .kfib import binom, catalan, convolved_binomial
-from .series import DEFAULT_ORDER, Series, poly
+from .series import Series, poly
 
 __all__ = [
     "FAMILIES",
@@ -97,17 +98,17 @@ def least_depth(family: str, order: int, method: str) -> int:
     return order if _depth_is_order(family, order, method) else order // 2
 
 
-def gf(family: str, k: int, order: int | None = None, method: str = "closed",
+def gf(family: str, k: int, order: int, method: str = "closed",
        depth: int | None = None) -> Series:
-    """Generating function of the family, exact through `order`
-    (default: series.DEFAULT_ORDER).  `depth` overrides the truncation
-    depth of the cf and automaton methods; other methods refuse it.
+    """Generating function of the family, exact through `order` (required,
+    like `sequence`'s `n_max`).  `depth` overrides the truncation depth of
+    the cf and automaton methods; other methods refuse it.
     Every coefficient is a count: the first that is not a nonnegative
     integer raises NonIntegralResult."""
     check_family(family)
     check_method(method)
     check_k(k)
-    n = DEFAULT_ORDER if order is None else check_size("order", order)
+    n = check_size("order", order)
     if depth is not None:
         check_size("depth", depth)
         check_depth_method(method)
@@ -231,11 +232,14 @@ def sequence(family: str, k: int, n_max: int, method: str = "closed",
 
 def verify_methods(family: str, k: int, n_max: int, brute_max: int = 10,
                    depth: int | None = None) -> list[tuple]:
-    """Cross-check every method against the closed form.
+    """Cross-check every method against the closed form, and the closed
+    form against the published row of `tables` for k, where there is one
+    (k <= 4), at every length it has up to n_max.
 
     Returns one mismatch tuple (family, k, n, method_a, method_b, value_a,
-    value_b) for every n at which a method differs, by method and then by
-    n; empty means full agreement.  `depth` truncates cf and automaton only.
+    value_b) for every n at which two differ: first ("published", "closed")
+    by n, then ("closed", method) by method and then by n; empty means full
+    agreement.  `depth` truncates cf and automaton only.
     A bad `depth` and a brute-force window past COUNT_BUDGET are refused
     before anything is counted.
     """
@@ -245,8 +249,13 @@ def verify_methods(family: str, k: int, n_max: int, brute_max: int = 10,
     brute.check_budget("brute_max", top)
     if depth is not None:
         check_size("depth", depth)
+    from . import tables  # not on load: tables imports this module
+
     reference = sequence(family, k, n_max, "closed").counts
-    mismatches = []
+    rows, start = tables.PUBLISHED[family]
+    mismatches = [(family, k, n, "published", "closed", want, reference[n])
+                  for n, want in enumerate(rows.get(k, ()), start)
+                  if n <= n_max and reference[n] != want]
     for method in ("cf", "automaton", "formula", "brute"):
         if method == "brute":
             got = [brute.count_paths(family, k, n) for n in range(top + 1)]

@@ -28,7 +28,6 @@ from ._checks import check_size
 
 __all__ = [
     "BadConstantTerm",
-    "DEFAULT_ORDER",
     "DivisionByZeroSeries",
     "InsufficientValuation",
     "OrderExceeded",
@@ -39,8 +38,6 @@ __all__ = [
     "poly",
     "zero",
 ]
-
-DEFAULT_ORDER = 64
 
 
 class SeriesError(ArithmeticError):

@@ -210,7 +210,7 @@ def test_what_the_tracer_patches_is_still_there(monkeypatch):
     methods = []
     real_gf = families.gf
 
-    def counting_gf(family, k, order=None, method="closed", depth=None):
+    def counting_gf(family, k, order, method="closed", depth=None):
         methods.append(method)
         return real_gf(family, k, order, method, depth)
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from fibpaths import cli, families, tables
+from fibpaths._checks import CONSTRAINTS
 from fibpaths.automata import SingularSystem
 from fibpaths.families import NonIntegralResult
 from fibpaths.series import SeriesError
@@ -356,6 +357,22 @@ def test_verify_lists_every_mismatching_n(capsys):
         for method in ("cf", "automaton")
         for n in range(4, 13)
     ]
+
+
+def test_verify_catches_a_wrong_family_table(capsys, monkeypatch):
+    # prefix counted as grand-prefix by all five methods alike
+    monkeypatch.setitem(CONSTRAINTS, "prefix", CONSTRAINTS["grand-prefix"])
+    code, out, _ = run(
+        capsys, "verify", "--family", "prefix", "--k", "2",
+        "--n-max", "10", "--brute-max", "5",
+    )
+    assert code == 1
+    row = tables.TABLE_PREFIX[2]
+    wrong = families.sequence("prefix", 2, 10).counts
+    assert out.splitlines() == [
+        "prefix k=2 n=%d: published=%d closed=%d" % (n, row[n], wrong[n])
+        for n in range(1, 11)
+    ] + ["verify: FAIL"]
 
 
 def test_verify_refuses_k_with_k_max(capsys, monkeypatch):

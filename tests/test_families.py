@@ -21,7 +21,7 @@ from fibpaths.families import (
     verify_methods,
 )
 from fibpaths.kfib import kfib
-from fibpaths.series import DEFAULT_ORDER
+from fibpaths.tables import TABLE_PREFIX
 
 from helpers import ints
 
@@ -56,6 +56,8 @@ def test_gf_validation():
         gf("fib", 0, 5)
     with pytest.raises(ValueError):
         gf("fib", 1, -1)
+    with pytest.raises(ValueError, match="^order must be"):
+        gf("fib", 2, None)
     with pytest.raises(ValueError):
         gf("fib", 1, 5, "closed", depth=-1)
     with pytest.raises(ValueError):
@@ -99,19 +101,8 @@ def test_gf_refuses_a_count_that_is_no_nonnegative_integer(monkeypatch, method, 
 
 
 @pytest.mark.parametrize("family", families.FAMILIES)
-def test_gf_brute_at_the_default_order(family):
-    got = gf(family, 3, method="brute")
-    assert (got.order, ints(got)) == (DEFAULT_ORDER, ints(gf(family, 3)))
-
-
-@pytest.mark.parametrize("family", families.FAMILIES)
 def test_path_counts_match_closed_at_n_300(family):
     assert brute.path_counts(family, 2, 300) == ints(gf(family, 2, 300))
-
-
-def test_gf_default_order_ignores_the_environment(monkeypatch):
-    monkeypatch.setenv("FIBPATH_ORDER", "7")
-    assert gf("fib", 1).order == DEFAULT_ORDER
 
 
 @pytest.mark.parametrize("k", [True, 2.0])
@@ -277,7 +268,7 @@ def test_verify_methods_passes_depth_only_to_cf_and_automaton(monkeypatch):
     calls = []
     real_gf = families.gf
 
-    def recording_gf(family, k, order=None, method="closed", depth=None):
+    def recording_gf(family, k, order, method="closed", depth=None):
         calls.append((method, depth))
         return real_gf(family, k, order, method, depth)
 
@@ -303,6 +294,23 @@ def test_verify_methods_compares_brute(monkeypatch):
 def test_verify_methods_brute_window():
     # brute_max caps the enumeration range, not the closed-form range
     assert verify_methods("grand-prefix", 1, 20, brute_max=5) == []
+
+
+def test_verify_methods_compares_closed_with_the_published_row(monkeypatch):
+    # a wrong family table feeds all five methods alike; only the published
+    # row, computed without it, tells prefix from grand-prefix
+    monkeypatch.setitem(CONSTRAINTS, "prefix", CONSTRAINTS["grand-prefix"])
+    row = TABLE_PREFIX[2]
+    wrong = ints(gf("prefix", 2, 10))
+    assert verify_methods("prefix", 2, 10, 5) == [
+        ("prefix", 2, n, "published", "closed", row[n], wrong[n]) for n in range(1, 11)
+    ]
+    # a shorter n_max compares only the lengths it counts
+    assert verify_methods("prefix", 2, 3, 3) == [
+        ("prefix", 2, n, "published", "closed", row[n], wrong[n]) for n in range(1, 4)
+    ]
+    # k = 5 has no published row
+    assert verify_methods("prefix", 5, 10, 5) == []
 
 
 def test_sequence_matches_brute_counts():
