@@ -101,6 +101,12 @@ def test_gf_refuses_a_count_that_is_no_nonnegative_integer(monkeypatch, method, 
 
 
 @pytest.mark.parametrize("family", families.FAMILIES)
+def test_gf_brute_matches_closed_at_k_3(family):
+    got = gf(family, 3, 64, method="brute")
+    assert (got.order, ints(got)) == (64, ints(gf(family, 3, 64)))
+
+
+@pytest.mark.parametrize("family", families.FAMILIES)
 def test_path_counts_match_closed_at_n_300(family):
     assert brute.path_counts(family, 2, 300) == ints(gf(family, 2, 300))
 
