@@ -20,14 +20,16 @@ Methods:
 
 Every method is defined for every family, and all five agree exactly;
 `verify_methods` plays them against each other, and `closed` against the
-published row of `tables` for k, where there is one.
+published row of `tables` for k, where there is one.  `row_diff` gives the
+cells of one published row for the CLI `tables` subcommand; both compare
+through `_published_cells`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from . import automata, brute, contfrac
+from . import automata, brute, contfrac, tables
 from ._checks import (CONSTRAINTS, DEPTH_METHODS, FAMILIES, METHODS,
                       check_depth_method, check_family, check_k, check_method,
                       check_size)
@@ -44,6 +46,7 @@ __all__ = [
     "gf",
     "horizontal_weight",
     "least_depth",
+    "row_diff",
     "sequence",
     "verify_methods",
 ]
@@ -230,6 +233,25 @@ def sequence(family: str, k: int, n_max: int, method: str = "closed",
                            tuple(map(int, gf(family, k, n_max, method, depth).coefficients())))
 
 
+def _published_cells(family: str, k: int, counts) -> list[tuple]:
+    """(n, published, counted) for every length n of k's published row that
+    `counts`, indexed by length, reaches, in order of n; none for a k
+    without a published row (k >= 5)."""
+    rows, start = tables.PUBLISHED[family]
+    return [(n, want, counts[n])
+            for n, want in enumerate(rows.get(k, ()), start) if n < len(counts)]
+
+
+def row_diff(family: str, k: int) -> list[tuple]:
+    """Recompute one published row with the closed method; returns
+    (n, expected, got) cell triples."""
+    rows, start = tables.PUBLISHED[check_family(family)]
+    if check_k(k) not in rows:
+        raise ValueError("k must be in %s for a published row, got %r" % (sorted(rows), k))
+    last = start + len(rows[k]) - 1
+    return _published_cells(family, k, sequence(family, k, last, "closed").counts)
+
+
 def verify_methods(family: str, k: int, n_max: int, brute_max: int = 10,
                    depth: int | None = None) -> list[tuple]:
     """Cross-check every method against the closed form, and the closed
@@ -249,13 +271,11 @@ def verify_methods(family: str, k: int, n_max: int, brute_max: int = 10,
     brute.check_budget("brute_max", top)
     if depth is not None:
         check_size("depth", depth)
-    from . import tables  # not on load: tables imports this module
 
     reference = sequence(family, k, n_max, "closed").counts
-    rows, start = tables.PUBLISHED[family]
-    mismatches = [(family, k, n, "published", "closed", want, reference[n])
-                  for n, want in enumerate(rows.get(k, ()), start)
-                  if n <= n_max and reference[n] != want]
+    mismatches = [(family, k, n, "published", "closed", want, got)
+                  for n, want, got in _published_cells(family, k, reference)
+                  if got != want]
     for method in ("cf", "automaton", "formula", "brute"):
         if method == "brute":
             got = [brute.count_paths(family, k, n) for n in range(top + 1)]

@@ -1,16 +1,12 @@
 """Published reference counts for the four families, k = 1..4.
 
-Frozen fixtures the CLI `tables` subcommand recomputes and diffs against.
-Grand rows start at path length 1 (the published table omits the empty
-path); the other rows start at length 0.
+Data only, with no function and no import: `families.row_diff` (the CLI
+`tables` subcommand) and `families.verify_methods` compare the closed
+counts with these rows.  Grand rows start at path length 1 (the published
+table omits the empty path); the other rows start at length 0.
 """
 
-from __future__ import annotations
-
-from . import families
-from ._checks import check_family, check_k
-
-__all__ = ["PUBLISHED", "row_diff"]
+__all__ = ["PUBLISHED"]
 
 TABLE_FIB = {
     1: (1, 1, 3, 8, 23, 67, 199, 600, 1834, 5674, 17743),
@@ -47,15 +43,3 @@ PUBLISHED = {
     "prefix": (TABLE_PREFIX, 0),
     "grand-prefix": (TABLE_GRAND_PREFIX, 0),
 }
-
-
-def row_diff(family: str, k: int) -> list:
-    """Recompute one published row with the closed method; returns
-    (n, expected, got) cell triples."""
-    rows, start = PUBLISHED[check_family(family)]
-    if check_k(k) not in rows:
-        raise ValueError("k must be in %s for a published row, got %r" % (sorted(rows), k))
-    expected = rows[k]
-    n_max = start + len(expected) - 1
-    got = families.sequence(family, k, n_max, "closed").counts[start:]
-    return [(start + i, expected[i], got[i]) for i in range(len(expected))]

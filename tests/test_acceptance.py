@@ -14,9 +14,9 @@ import hypothesis
 from fibpaths import brute, gf, poly, zero
 from fibpaths.automata import build_chain, solve
 from fibpaths.contfrac import CFLevel
-from fibpaths.families import FAMILIES, METHODS, verify_methods
+from fibpaths.families import FAMILIES, METHODS, row_diff, verify_methods
 from fibpaths.kfib import convolved_binomial, convolved_sum
-from fibpaths.tables import PUBLISHED, row_diff
+from fibpaths.tables import PUBLISHED
 
 from helpers import MOTZKIN, convolved_gf, ints, long_division, motzkin_gf
 

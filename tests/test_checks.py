@@ -29,12 +29,12 @@ from fibpaths.families import (
     gf,
     horizontal_weight,
     least_depth,
+    row_diff,
     sequence,
     verify_methods,
 )
 from fibpaths.kfib import convolved_binomial, convolved_sum, kfib
 from fibpaths.series import one, poly, zero
-from fibpaths.tables import row_diff
 
 from helpers import convolved_gf, motzkin_gf
 

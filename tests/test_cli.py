@@ -301,6 +301,12 @@ def test_tables_detects_corrupt_fixture(capsys, monkeypatch):
     assert lines[-1] == "tables: FAIL"
     # only the corrupted row fails
     assert sum(line.endswith("FAIL") for line in lines) == 2
+    # verify reports the same cell, as published against closed
+    code, out, _ = run(capsys, "verify", "--family", "fib", "--k", "1",
+                       "--n-max", "10", "--brute-max", "5")
+    assert code == 1
+    assert out.splitlines() == ["fib k=1 n=10: published=17744 closed=17743",
+                                "verify: FAIL"]
 
 
 # -- verify ----------------------------------------------------------------------

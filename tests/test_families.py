@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 from itertools import accumulate, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,6 +174,22 @@ def test_all_methods_agree_small(family, k):
     reference = ints(gf(family, k, 12, "closed"))
     for method in METHODS[1:]:
         assert ints(gf(family, k, 12, method)) == reference
+
+
+@pytest.mark.parametrize("family", families.FAMILIES)
+@pytest.mark.parametrize("method", METHODS)
+def test_counts_are_polynomials_in_k(family, method):
+    """A path of length n has at most n horizontal unit steps, each in one of
+    k colors, so c_n is a polynomial in k of degree <= n: its (n+1)-th finite
+    difference over any n+2 consecutive k vanishes.  A count wrong at a
+    single k breaks every window that holds it."""
+    counts = {k: sequence(family, k, 8, method).counts for k in range(1, 11)}
+    for n in range(9):
+        m = n + 1
+        for k0 in range(1, 11 - m):
+            delta = sum((-1) ** (m - i) * comb(m, i) * counts[k0 + i][n]
+                        for i in range(m + 1))
+            assert delta == 0, (n, k0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -1,8 +1,13 @@
-"""Frozen reference tables and the row_diff checker."""
+"""The published rows in `tables`, a data module, and `families.row_diff`,
+which compares them with the closed counts."""
+
+import ast
+import inspect
 
 import pytest
 
 from fibpaths import tables
+from fibpaths.families import row_diff
 
 
 def test_fixture_shape():
@@ -17,6 +22,16 @@ def test_fixture_shape():
     assert tables.PUBLISHED["fib"][1] == 0
 
 
+def test_tables_is_data_only():
+    """No function and no import: the comparison lives in `families`, which
+    imports `tables`, so `tables` cannot import it back."""
+    tree = ast.parse(inspect.getsource(tables))
+    code = [type(node).__name__ for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                 ast.Import, ast.ImportFrom))]
+    assert code == []
+
+
 def test_fixture_anchor_cells():
     assert tables.TABLE_FIB[2][-1] == 112736
     assert tables.TABLE_GRAND[4][-1] == 4624581
@@ -27,7 +42,7 @@ def test_fixture_anchor_cells():
 @pytest.mark.parametrize("family", sorted(tables.PUBLISHED))
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_row_diff_reproduces_published_rows(family, k):
-    for n, expected, got in tables.row_diff(family, k):
+    for n, expected, got in row_diff(family, k):
         assert expected == got, (family, k, n)
 
 
@@ -35,13 +50,13 @@ def test_row_diff_reproduces_published_rows(family, k):
 def test_row_diff_refuses_a_k_without_a_published_row(k):
     with pytest.raises(ValueError, match=r"^k must be in \[1, 2, 3, 4\] for a published "
                                          r"row, got %d$" % k):
-        tables.row_diff("fib", k)
+        row_diff("fib", k)
 
 
 def test_row_diff_cells_are_indexed_by_length():
-    cells = tables.row_diff("grand", 2)
+    cells = row_diff("grand", 2)
     assert [n for n, _, _ in cells] == list(range(1, 11))
-    cells = tables.row_diff("fib", 1)
+    cells = row_diff("fib", 1)
     assert [n for n, _, _ in cells] == list(range(11))
     assert cells[0][1:] == (1, 1)
 
