@@ -11,10 +11,8 @@ constant term 1 or -1 returns ints, and exact Fractions for any other
 constant term; Fraction input gives Fraction output.  ``sqrt`` computes on
 Fractions.
 
-``Series`` stores Fractions and alone decides when to hand these kernels
-ints: for the reciprocal of a unit integer series and the quotient of an
-integer series by one.  Its products stay on Fractions until ``Series``
-itself stores integers.
+``Series`` stores Fractions; ``series._unit_integral`` alone decides when
+these kernels get ints instead.
 """
 
 from fractions import Fraction

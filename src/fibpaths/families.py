@@ -105,7 +105,8 @@ def gf(family: str, k: int, order: int, method: str = "closed",
        depth: int | None = None) -> Series:
     """Generating function of the family, exact through `order` (required,
     like `sequence`'s `n_max`).  `depth` overrides the truncation depth of
-    the cf and automaton methods; other methods refuse it.
+    the cf and automaton methods; other methods refuse it.  A depth past
+    `default_depth` gives the same series, so only that one is walked.
     Every coefficient is a count: the first that is not a nonnegative
     integer raises NonIntegralResult."""
     check_family(family)
@@ -118,9 +119,9 @@ def gf(family: str, k: int, order: int, method: str = "closed",
     if method == "closed":
         out = _closed(family, k, n)
     elif method == "cf":
-        out = _cf(family, k, n, depth)
+        out = _cf(family, k, n, _walked_depth(family, n, method, depth))
     elif method == "automaton":
-        out = _automaton(family, k, n, depth)
+        out = _automaton(family, k, n, _walked_depth(family, n, method, depth))
     elif method == "formula":
         out = Series([coeff(family, k, t) for t in range(n + 1)])
     else:
@@ -147,15 +148,19 @@ def _closed(family: str, k: int, order: int) -> Series:
     return _evaluator(family, "closed")(f, g, h, order)
 
 
-def _cf(family: str, k: int, order: int, depth: int | None) -> Series:
-    s = default_depth(family, order, "cf") if depth is None else depth
+def _walked_depth(family: str, order: int, method: str, depth: int | None) -> int:
+    """`depth`, or `default_depth` when `depth` is None or deeper."""
+    s = default_depth(family, order, method)
+    return s if depth is None else min(depth, s)
+
+
+def _cf(family: str, k: int, order: int, s: int) -> Series:
     cf = _evaluator(family, "cf")
     # a meander's tail E_j reads levels j .. j+s for every j through order
     return cf([_level(k, order)] * (order + s + 1), s, order)
 
 
-def _automaton(family: str, k: int, order: int, depth: int | None) -> Series:
-    s = default_depth(family, order, "automaton") if depth is None else depth
+def _automaton(family: str, k: int, order: int, s: int) -> Series:
     nonneg, ends_at_0 = CONSTRAINTS[family]
     chain = automata.build_chain("linear" if nonneg else "bilinear", s,
                                  [_level(k, order)] * (s + 1), not ends_at_0)

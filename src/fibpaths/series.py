@@ -5,13 +5,11 @@ from ints or Fractions only (a bool, a float or a string raises TypeError,
 as a scalar operand too; an index or exponent must be an int).  All
 arithmetic is exact; binary operations truncate to the smaller operand
 order, so every retained coefficient of a result is the true coefficient
-of the corresponding formal operation.  The reciprocal of an integer series
-with constant term 1 or -1 is an integer series, and so is the quotient of
-an integer series by one; `_unit_integral` is the one place that decides
-when the kernels run on ints for them.  Division cancels the common power
-of z first (the quotient must again be a power series, never a Laurent
-series) and therefore returns a series of order reduced by the divisor's
-valuation.
+of the corresponding formal operation.  A reciprocal or a quotient may run
+its kernels on ints; `_unit_integral` states when.  Division cancels the
+common power of z first (the quotient must again be a power series, never
+a Laurent series) and therefore returns a series of order reduced by the
+divisor's valuation.
 
 Equality compares the order and every coefficient: series of different
 orders are unequal even where their shared coefficients agree (compare
@@ -75,6 +73,16 @@ def _exact(c):
     raise TypeError("a Series coefficient must be an int or a Fraction, got %r" % (c,))
 
 
+def _scalar(x):
+    """`x` as `_exact` gives it, or None when it is no number of a Series:
+    the operators then return NotImplemented, so Python asks `x`'s own
+    reflected operator."""
+    try:
+        return _exact(x)
+    except TypeError:
+        return None
+
+
 def _index(n):
     """An index, order or exponent of a Series is an int, not a bool."""
     if isinstance(n, bool) or not isinstance(n, int):
@@ -83,14 +91,17 @@ def _index(n):
 
 
 def _unit_integral(unit, *others):
-    """The numerators of `unit` and of each of `others` as int lists when
-    unit[0] is 1 or -1 and every coefficient is integral; None otherwise."""
-    if unit[0] != 1 and unit[0] != -1:
-        return None
+    """The operands of a reciprocal (`unit`) or a quotient (divisor `unit`,
+    then the dividend) as the kernels get them.  The reciprocal of an
+    integer series with constant term 1 or -1 is an integer series, and so
+    is the quotient of an integer series by one: then the kernels run on the
+    numerators as int lists, and the constructor converts their result to
+    Fractions once.  Otherwise the operands come back unchanged, and the
+    kernels run on the stored Fractions, as every product does."""
     lists = (unit,) + others
-    if not all(c.denominator == 1 for cs in lists for c in cs):
-        return None
-    return [[c.numerator for c in cs] for cs in lists]
+    if unit[0] in (1, -1) and all(c.denominator == 1 for cs in lists for c in cs):
+        return [[c.numerator for c in cs] for cs in lists]
+    return lists
 
 
 class Series:
@@ -145,10 +156,10 @@ class Series:
             return Series(
                 [self._coeffs[i] + other._coeffs[i] for i in range(m)]
             )
-        try:
-            return Series((self._coeffs[0] + _exact(other),) + self._coeffs[1:])
-        except TypeError:
+        s = _scalar(other)
+        if s is None:
             return NotImplemented
+        return Series((self._coeffs[0] + s,) + self._coeffs[1:])
 
     __radd__ = __add__
 
@@ -161,24 +172,23 @@ class Series:
             return Series(
                 [self._coeffs[i] - other._coeffs[i] for i in range(m)]
             )
-        try:
-            return Series((self._coeffs[0] - _exact(other),) + self._coeffs[1:])
-        except TypeError:
+        s = _scalar(other)
+        if s is None:
             return NotImplemented
+        return Series((self._coeffs[0] - s,) + self._coeffs[1:])
 
     def __rsub__(self, other):
-        try:
-            return Series((_exact(other) - self._coeffs[0],) + tuple(-c for c in self._coeffs[1:]))
-        except TypeError:
+        s = _scalar(other)
+        if s is None:
             return NotImplemented
+        return Series((s - self._coeffs[0],) + tuple(-c for c in self._coeffs[1:]))
 
     def __mul__(self, other):
         if isinstance(other, Series):
             m = min(len(self._coeffs), len(other._coeffs))
             return Series(kernels.mul(self._coeffs, other._coeffs, m))
-        try:
-            s = _exact(other)
-        except TypeError:
+        s = _scalar(other)
+        if s is None:
             return NotImplemented
         return Series([s * c for c in self._coeffs])
 
@@ -197,31 +207,21 @@ class Series:
         return result
 
     def inverse(self) -> "Series":
-        """Reciprocal; requires a nonzero constant term.  It runs on ints
-        when the series is integral with constant term 1 or -1."""
-        cs = self._coeffs
-        if not cs[0]:
+        """Reciprocal; requires a nonzero constant term.  `_unit_integral`
+        says when it runs on ints."""
+        if not self._coeffs[0]:
             raise ZeroConstantTerm("cannot invert a series with constant term 0")
-        ints = _unit_integral(cs)
-        if ints is not None:
-            cs = ints[0]
+        (cs,) = _unit_integral(self._coeffs)
         return Series(kernels.inv(cs, len(cs)))
 
     def __truediv__(self, other):
         """Exact quotient.  For series operands the divisor's valuation v is
         cancelled first, so the result has order min(order_a, order_b) - v.
-
-        When the divisor's leading coefficient is 1 or -1 and both operands
-        are integral through the quotient's order, the quotient is an
-        integer series too: `_unit_integral` hands the kernels the
-        numerators as ints, and the constructor converts the result to
-        Fractions once.  Every other quotient, and every product, runs on
-        the stored Fractions until Series stores integers.
+        `_unit_integral` says when it runs on ints.
         """
         if not isinstance(other, Series):
-            try:
-                s = _exact(other)
-            except TypeError:
+            s = _scalar(other)
+            if s is None:
                 return NotImplemented
             if not s:
                 raise ZeroDivisionError("division of a series by scalar 0")
@@ -237,11 +237,7 @@ class Series:
         m = min(len(self._coeffs), len(other._coeffs)) - v
         if m <= 0:
             raise OrderExceeded("no quotient coefficients remain after cancelling z^%d" % v)
-        num = self._coeffs[v : v + m]
-        den = other._coeffs[v : v + m]
-        ints = _unit_integral(den, num)
-        if ints is not None:
-            den, num = ints
+        den, num = _unit_integral(other._coeffs[v : v + m], self._coeffs[v : v + m])
         return Series(kernels.mul(num, kernels.inv(den, m), m))
 
     def sqrt(self) -> "Series":

@@ -165,6 +165,13 @@ def test_seq_at_the_default_depth_prints_the_closed_counts(capsys, family, metho
     assert (code, out, err) == (0, closed, "")
 
 
+def test_seq_at_a_depth_far_past_the_default_prints_the_counts(capsys):
+    # only the default depth's levels are walked, not 10^9 of them
+    argv = ("seq", "--family", "fib", "--k", "2", "--n", "5", "--method", "cf",
+            "--depth", str(10**9))
+    assert run(capsys, *argv) == (0, "1 1 4 13 47 168\n", "")
+
+
 @pytest.mark.parametrize("method", ["cf", "automaton"])
 @pytest.mark.parametrize("family", families.FAMILIES)
 def test_seq_refuses_only_depths_below_the_least_exact_one(capsys, family, method):

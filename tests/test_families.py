@@ -8,7 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fibpaths import brute, families
+from fibpaths import automata, brute, contfrac, families
 from fibpaths._checks import CONSTRAINTS
 from fibpaths.families import (
     METHODS,
@@ -230,12 +230,34 @@ def test_default_depths():
     st.integers(min_value=0, max_value=3),
 )
 def test_any_depth_from_the_horizon_on_gives_the_closed_counts(family, k, n, extra):
-    # the stated horizon is never optimistic: every depth from it on is exact
+    # the stated horizon is never optimistic: every depth from it on is exact;
+    # the walkers are called directly, since gf walks no deeper than it
     closed = gf(family, k, n, "closed").coefficients()
-    for method in ("cf", "automaton"):
+    for method, walk in (("cf", families._cf), ("automaton", families._automaton)):
         depth = default_depth(family, n, method) + extra
-        got = gf(family, k, n, method, depth=depth)
+        got = walk(family, k, n, depth)
         assert (got.order, got.coefficients()) == (n, closed), (method, depth)
+
+
+@pytest.mark.parametrize("method", ["cf", "automaton"])
+@pytest.mark.parametrize("family", families.FAMILIES)
+def test_a_depth_far_past_the_default_walks_only_the_default(monkeypatch, family, method):
+    # every depth from default_depth on gives the same series, so a far
+    # deeper one is walked at the default depth, not level by level
+    depths = []
+    if method == "cf":
+        module, name = contfrac, families._evaluator(family, "cf").__name__
+    else:
+        module, name = automata, "build_chain"
+    real = getattr(module, name)
+
+    def recording(*args):
+        depths.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    assert gf(family, 2, 5, method, depth=10**9) == gf(family, 2, 5, method)
+    assert depths == [default_depth(family, 5, method)] * 2
 
 
 def test_explicit_depth_overrides_default():

@@ -106,6 +106,29 @@ def test_scalar_mixing():
     assert ints(h / 2 * 4) == [0, 2, 0, 0, 0]
 
 
+def test_a_foreign_operand_reaches_its_reflected_operator():
+    # a non-number operand makes the Series operator return NotImplemented,
+    # so Python hands the operation to the operand's reflected method
+    class Foreign:
+        def __radd__(self, other):
+            return ("radd", other)
+
+        def __rsub__(self, other):
+            return ("rsub", other)
+
+        def __rmul__(self, other):
+            return ("rmul", other)
+
+        def __rtruediv__(self, other):
+            return ("rtruediv", other)
+
+    s, x = poly([1, 1], 3), Foreign()
+    assert s + x == ("radd", s)
+    assert s - x == ("rsub", s)
+    assert s * x == ("rmul", s)
+    assert s / x == ("rtruediv", s)
+
+
 def test_mul_polynomials():
     a = poly([1, 1], 6)
     b = poly([1, -1], 6)
