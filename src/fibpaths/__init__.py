@@ -8,7 +8,7 @@ counting) that cross-verify each other exactly.
 """
 
 from ._backend import BACKEND
-from .brute import count_paths, list_paths
+from .brute import count_paths
 from .families import FAMILIES, METHODS, PathCountReport, gf, sequence, verify_methods
 from .series import Series, one, poly, zero
 
@@ -23,7 +23,6 @@ __all__ = [
     "__version__",
     "count_paths",
     "gf",
-    "list_paths",
     "one",
     "poly",
     "sequence",

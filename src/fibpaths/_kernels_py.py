@@ -41,12 +41,12 @@ def inv(a, m):
     """First m coefficients of the reciprocal of a; requires a[0] != 0.
 
     b_0 = 1/a_0 and b_n = -(sum_{i=1..n} a_i b_{n-i}) / a_0.  When a_0 is
-    the int 1 or -1, 1/a_0 = a_0 and the recurrence runs on the ints it is
-    given.  Otherwise it runs on Fractions, 1/a_0 included, so an int list
-    with another constant term still gets exact Fractions.
+    1 or -1, 1/a_0 = a_0 and the recurrence runs on the numbers it is given
+    (`series._unit_integral` decides when they are ints).  Otherwise it runs
+    on Fractions, 1/a_0 included, so ints with another a_0 get Fractions.
     """
     a0 = a[0]
-    inv0 = a0 if type(a0) is int and (a0 == 1 or a0 == -1) else Fraction(1) / a0
+    inv0 = a0 if a0 == 1 or a0 == -1 else Fraction(1) / a0
     la = len(a)
     b = [inv0] if m > 0 else []
     for n in range(1, m):

@@ -132,7 +132,8 @@ def _eliminate(rows, rhs):
     rhs.  For M = I - W with val(W) >= 1 every pivot is a unit (module
     docstring); SingularSystem names the first column whose pivot is
     missing or has constant term 0.  Row i is carried to the order of
-    rhs[i], padding what meets it (the precision rule)."""
+    rhs[i], padding what meets it (the precision rule).  A zero entry, from
+    a zero weight or from elimination, is skipped: it costs no kernel call."""
     n = len(rows)
     for col in range(n):
         pivot_row = rows[col]
@@ -140,9 +141,8 @@ def _eliminate(rows, rhs):
         if pivot is None or not pivot.coefficient(0):
             raise SingularSystem("column %d has no unit pivot in row order" % col)
         for i in range(col + 1, n):
-            entry = rows[i].get(col)
+            entry = rows[i].pop(col, None)
             if entry is None or entry.is_zero():
-                rows[i].pop(col, None)
                 continue
             r = rhs[i].order
             factor = entry / _pad(pivot, r)
@@ -156,7 +156,6 @@ def _eliminate(rows, rhs):
                     rows[i].pop(j, None)
                 else:
                     rows[i][j] = nxt
-            rows[i].pop(col, None)
             if not rhs[col].is_zero():
                 rhs[i] = rhs[i] - factor * _pad(rhs[col], r)
     xs = [None] * n
@@ -172,12 +171,11 @@ def _eliminate(rows, rhs):
 def _state_orders(auto: WeightedAutomaton, order: int) -> list[int]:
     """r(q) = min(order, max(order - d(q), 1)) for every state q, d(q) the
     least total edge valuation of a walk from the initial state to q
-    (Dijkstra; zero weights are no edges, unreachable states get r = 1)."""
+    (Dijkstra, which never relaxes a zero weight's valuation inf;
+    unreachable states get r = 1)."""
     out_edges = [[] for _ in range(auto.n_states)]
     for src, dst, w in auto.transitions:
-        v = w.valuation()
-        if v != math.inf:
-            out_edges[src].append((v, dst))
+        out_edges[src].append((w.valuation(), dst))
     dist = {auto.initial: 0}
     heap = [(0, auto.initial)]
     while heap:
@@ -203,8 +201,6 @@ def solve(auto: WeightedAutomaton, order: int) -> Series:
     r = _state_orders(auto, order)
     rows = [{q: one(r[q])} for q in range(n)]
     for src, dst, w in auto.transitions:
-        if w.is_zero():
-            continue
         w = w.truncate(r[src])
         cur = rows[src].get(dst)
         rows[src][dst] = (cur - w) if cur is not None else -w

@@ -11,38 +11,34 @@ the table `CONSTRAINTS` that lives in `_checks`:
     prefix        never below 0
     grand-prefix  unconstrained
 
-This module is the ground-truth oracle, adding up or listing actual paths:
+This module is the ground-truth oracle, adding up actual paths:
 it knows nothing about series, continued fractions or automata.
 """
 
 from __future__ import annotations
 
 from ._checks import CONSTRAINTS, check_family, check_k, check_size
-from .kfib import kfib
 
 __all__ = [
     "BudgetExceeded",
     "COUNT_BUDGET",
-    "LIST_BUDGET",
     "check_budget",
     "count_paths",
-    "list_paths",
     "path_counts",
 ]
 
 COUNT_BUDGET = 1000
-LIST_BUDGET = 6
 
 
 class BudgetExceeded(ValueError):
     """Path length beyond what brute-force counting is allowed to do."""
 
 
-def check_budget(name: str, n: int, budget: int = COUNT_BUDGET) -> None:
-    """Refuse a path length `n`, the argument `name`, past `budget`."""
-    if check_size(name, n) > budget:
+def check_budget(name: str, n: int) -> None:
+    """Refuse a path length `n`, the argument `name`, past COUNT_BUDGET."""
+    if check_size(name, n) > COUNT_BUDGET:
         raise BudgetExceeded(
-            "%s: length %d exceeds the enumeration budget %d" % (name, n, budget)
+            "%s: length %d exceeds the enumeration budget %d" % (name, n, COUNT_BUDGET)
         )
 
 
@@ -74,36 +70,3 @@ def count_paths(family: str, k: int, n: int) -> int:
     """Total weight of family paths of length exactly n (see path_counts)."""
     check_budget("n", n)
     return path_counts(family, k, n)[-1]
-
-
-def list_paths(family: str, k: int, n: int):
-    """Every admissible step sequence of length n with its color
-    multiplicity, as (steps, weight) pairs; steps are "U", "D" or ("H", l).
-    Order is deterministic: U before D before H(1), H(2), ...
-    """
-    check_family(family)
-    check_k(k)
-    check_budget("n", n, LIST_BUDGET)
-    nonneg, end_zero = CONSTRAINTS[family]
-    weights = [kfib(k, l) for l in range(n + 1)]
-    out = []
-
-    def extend(rem, y, steps, weight):
-        if rem == 0:
-            if y == 0 or not end_zero:
-                out.append((tuple(steps), weight))
-            return
-        steps.append("U")
-        extend(rem - 1, y + 1, steps, weight)
-        steps.pop()
-        if y > 0 or not nonneg:
-            steps.append("D")
-            extend(rem - 1, y - 1, steps, weight)
-            steps.pop()
-        for l in range(1, rem + 1):
-            steps.append(("H", l))
-            extend(rem - l, y, steps, weight * weights[l])
-            steps.pop()
-
-    extend(n, 0, [], 1)
-    return out

@@ -5,9 +5,9 @@
     fibpaths verify  check every method against `closed`, and `closed`
                      against the published rows for k <= 4 (PASS: all agree)
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error, 4 internal
-inconsistency (negative count, non-integral or singular results); exit code
-3 is not used.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error (a size
+too large for memory included), 4 internal inconsistency (negative count,
+non-integral or singular results); exit code 3 is not used.
 Output is deterministic; JSON carries counts as decimal strings since they
 outgrow doubles quickly.
 """
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tab = sub.add_parser("tables", help="recompute the published tables")
     tab.add_argument("--json", action="store_true", dest="as_json")
-    tab.set_defaults(func=cmd_tables)
+    tab.set_defaults(func=cmd_tables, refuse=tab.error)
 
     ver = sub.add_parser("verify", help="cross-check all methods")
     one_k = ver.add_mutually_exclusive_group()
@@ -186,6 +186,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except BudgetExceeded as exc:
         args.refuse(str(exc))
+    except MemoryError:
+        args.refuse("out of memory")
     except (NonIntegralResult, SingularSystem, SeriesError) as exc:
         print("internal inconsistency: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL

@@ -63,24 +63,24 @@ class OrderExceeded(SeriesError):
     """Coefficient index outside the stored range."""
 
 
-def _exact(c):
-    """The number rule of a Series, for coefficients and scalars alike: `c`
-    as a Fraction when it is an int (not a bool) or a Fraction, else TypeError."""
-    if isinstance(c, int) and not isinstance(c, bool):
-        return Fraction(c)
-    if isinstance(c, Fraction):
-        return c
-    raise TypeError("a Series coefficient must be an int or a Fraction, got %r" % (c,))
-
-
 def _scalar(x):
-    """`x` as `_exact` gives it, or None when it is no number of a Series:
-    the operators then return NotImplemented, so Python asks `x`'s own
+    """The number rule of a Series, for coefficients and scalars alike: `x`
+    as a Fraction when it is an int (not a bool) or a Fraction, else None.
+    On None the operators return NotImplemented, so Python asks `x`'s own
     reflected operator."""
-    try:
-        return _exact(x)
-    except TypeError:
-        return None
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    return None
+
+
+def _exact(c):
+    """A coefficient by `_scalar`'s rule; TypeError when it is no number."""
+    s = _scalar(c)
+    if s is None:
+        raise TypeError("a Series coefficient must be an int or a Fraction, got %r" % (c,))
+    return s
 
 
 def _index(n):

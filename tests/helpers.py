@@ -3,6 +3,9 @@
 from fractions import Fraction
 from math import factorial, prod
 
+import pytest
+
+from fibpaths import _backend
 from fibpaths._checks import CONSTRAINTS, check_k, check_levels, check_size
 from fibpaths.contfrac import CFLevel
 from fibpaths.families import horizontal_weight
@@ -23,6 +26,23 @@ def ints(series):
 
 def fracs(values):
     return [Fraction(v) for v in values]
+
+
+def kernel_calls(run):
+    """run() and the (mul, inv) kernel calls it makes, counted on the
+    kernels `Series` looks up at call time."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("mul", "inv"):
+            real = getattr(_backend.kernels, name)
+
+            def counting(*args, _name=name, _real=real):
+                calls.append(_name)
+                return _real(*args)
+
+            mp.setattr(_backend.kernels, name, counting)
+        result = run()
+    return result, (calls.count("mul"), calls.count("inv"))
 
 
 def long_division(num, den, m):
@@ -110,7 +130,7 @@ def multinom(n, parts):
 # reciprocal kernel runs on Fractions, the continued fractions evaluate every
 # level and every meander tail through the full order, the automaton solve
 # carries every state through the full order, the formula sums add
-# Fractions, and the path count recurses over the next step.
+# Fractions, and the path count and the path list recurse over the next step.
 
 
 def count_paths_reference(family, k, n):
@@ -130,6 +150,30 @@ def count_paths_reference(family, k, n):
         return total
 
     return walk(n, 0)
+
+
+def list_paths(family, k, n):
+    """Every admissible step sequence of length n with its color
+    multiplicity, as (steps, weight) pairs; steps are "U", "D" or ("H", l).
+    The recursion of count_paths_reference, listing instead of summing, so
+    the order is U before D before H(1), H(2), ..."""
+    nonneg, end_zero = CONSTRAINTS[family]
+    weights = [kfib(k, l) for l in range(n + 1)]
+    out = []
+
+    def walk(rem, y, steps, weight):
+        if rem == 0:
+            if y == 0 or not end_zero:
+                out.append((tuple(steps), weight))
+            return
+        walk(rem - 1, y + 1, steps + ["U"], weight)
+        if y > 0 or not nonneg:
+            walk(rem - 1, y - 1, steps + ["D"], weight)
+        for l in range(1, rem + 1):
+            walk(rem - l, y, steps + [("H", l)], weight * weights[l])
+
+    walk(n, 0, [], 1)
+    return out
 
 
 def inv_reference(a, m):

@@ -16,7 +16,7 @@ from fibpaths.automata import (
 from fibpaths.contfrac import CFLevel, excursion_cf
 from fibpaths.series import one, poly, zero
 
-from helpers import MOTZKIN, ints, kfib_levels, motzkin_gf, unit_levels
+from helpers import MOTZKIN, ints, kernel_calls, kfib_levels, motzkin_gf, unit_levels
 
 
 def motzkin_chain(order, depth, all_final=False):
@@ -192,6 +192,19 @@ def test_solve_matches_continued_fraction():
     levels = kfib_levels(3, order, 8)
     auto = build_chain("linear", 7, levels)
     assert solve(auto, order) == excursion_cf(levels, 7, order)
+
+
+def test_a_zero_weight_costs_no_kernel_call():
+    # a zero loop, a zero step down (eliminated from a row) and a zero step
+    # up (met in a pivot row and in back-substitution)
+    auto = motzkin_chain(9, 4)
+    zeros = ((1, 1, zero(9)), (3, 0, zero(9)), (0, 3, zero(9)))
+    with_zeros = auto._replace(transitions=auto.transitions + zeros)
+    want, want_calls = kernel_calls(lambda: solve(auto, 9))
+    got, got_calls = kernel_calls(lambda: solve(with_zeros, 9))
+    assert ints(want) == MOTZKIN
+    assert got == want
+    assert got_calls == want_calls
 
 
 def test_solve_empty_final_set_counts_nothing():

@@ -1,11 +1,12 @@
-"""Path enumeration oracle: counts, listings, budgets."""
+"""Path enumeration oracle: counts and the budget, and the test-only path
+lister against them."""
 
 import pytest
 
 from fibpaths._checks import FAMILIES
-from fibpaths.brute import COUNT_BUDGET, BudgetExceeded, count_paths, list_paths, path_counts
+from fibpaths.brute import COUNT_BUDGET, BudgetExceeded, count_paths, path_counts
 
-from helpers import count_paths_reference
+from helpers import count_paths_reference, list_paths
 
 
 def test_figure_counts():
@@ -109,8 +110,3 @@ def test_list_paths_respects_constraints():
         y = sum(1 if s == "U" else -1 if s == "D" else 0 for s in steps)
         endings.add(y)
     assert endings == {0, 1, 2, 3, 4}  # horizontal runs make every height reachable
-
-
-def test_list_budget():
-    with pytest.raises(BudgetExceeded):
-        list_paths("fib", 1, 7)

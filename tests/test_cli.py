@@ -260,6 +260,26 @@ def test_verify_brute_max_over_budget_exits_2_before_counting(capsys, monkeypatc
     )
 
 
+@pytest.mark.parametrize("command, counter", [
+    ("seq --family fib --k 2 --n 5", "sequence"),
+    ("verify --family fib --k 2 --n-max 5", "verify_methods"),
+    ("tables", "row_diff"),
+])
+def test_running_out_of_memory_exits_2(capsys, monkeypatch, command, counter):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(families, counter, out_of_memory)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command.split())
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    name = command.split()[0]
+    assert out == ""
+    assert err.startswith("usage: fibpaths %s" % name)
+    assert err.endswith("\nfibpaths %s: error: out of memory\n" % name)
+
+
 @pytest.mark.parametrize("error", [NonIntegralResult, SingularSystem, SeriesError],
                          ids=lambda error: error.__name__)
 def test_an_inconsistent_result_exits_4(capsys, monkeypatch, error):

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from fibpaths import _backend, automata, gf
+from fibpaths import automata, gf
 from fibpaths.automata import WeightedAutomaton, _state_orders, build_chain, solve
 from fibpaths.contfrac import (
     CFLevel,
@@ -29,6 +29,7 @@ from helpers import (
     excursion_cf_reference,
     grand_excursion_cf_reference,
     grand_meander_cf_reference,
+    kernel_calls,
     meander_cf_reference,
     solve_reference,
 )
@@ -235,28 +236,17 @@ def test_state_orders_follow_the_least_walk_valuation():
         assert _state_orders(auto, order) == want
 
 
-def automaton_kernel_calls(monkeypatch, family, n):
+def automaton_kernel_calls(family, n):
     """(mul, inv) calls made by gf(family, 2, n, "automaton")."""
-    calls = []
-    for name in ("mul", "inv"):
-        real = getattr(_backend.kernels, name)
-
-        def counting(*args, _name=name, _real=real):
-            calls.append(_name)
-            return _real(*args)
-
-        monkeypatch.setattr(_backend.kernels, name, counting)
-    gf(family, 2, n, "automaton")
-    return calls.count("mul"), calls.count("inv")
+    return kernel_calls(lambda: gf(family, 2, n, "automaton"))[1]
 
 
 @pytest.mark.parametrize("family", sorted(CHAIN_FAMILIES.values()))
 @pytest.mark.parametrize("n", [40, 41])
 def test_automaton_makes_the_kernel_calls_of_the_full_order_solve(monkeypatch, family, n):
-    got_mul, got_inv = automaton_kernel_calls(monkeypatch, family, n)
-    monkeypatch.undo()
+    got_mul, got_inv = automaton_kernel_calls(family, n)
     monkeypatch.setattr(automata, "solve", solve_reference)
-    want_mul, want_inv = automaton_kernel_calls(monkeypatch, family, n)
+    want_mul, want_inv = automaton_kernel_calls(family, n)
     assert got_inv == want_inv
     if n % 2 == 0:
         assert got_mul == want_mul
