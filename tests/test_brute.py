@@ -4,7 +4,7 @@ lister against them."""
 import pytest
 
 from fibpaths._checks import FAMILIES
-from fibpaths.brute import COUNT_BUDGET, BudgetExceeded, count_paths, path_counts
+from fibpaths.brute import COUNT_BUDGET, BudgetExceeded, check_budget, count_paths, path_counts
 
 from helpers import count_paths_reference, list_paths
 
@@ -50,6 +50,12 @@ def test_count_budget():
         count_paths("fib", 1, 1001)
     with pytest.raises(BudgetExceeded, match="n_max: length 1001 .* budget 1000"):
         path_counts("fib", 1, 1001)
+
+
+def test_check_budget_has_one_budget_and_names_the_argument():
+    assert check_budget("--brute-max", COUNT_BUDGET) is None
+    with pytest.raises(BudgetExceeded, match="^--brute-max: length 1001 .* budget 1000$"):
+        check_budget("--brute-max", COUNT_BUDGET + 1)
 
 
 def test_validation():
@@ -110,3 +116,10 @@ def test_list_paths_respects_constraints():
         y = sum(1 if s == "U" else -1 if s == "D" else 0 for s in steps)
         endings.add(y)
     assert endings == {0, 1, 2, 3, 4}  # horizontal runs make every height reachable
+
+
+def test_list_paths_has_no_budget():
+    # 7 is past the length the package lister used to refuse
+    paths = list_paths("fib", 1, 7)
+    assert sum(w for _, w in paths) == count_paths("fib", 1, 7)
+    assert len(set(p for p, _ in paths)) == len(paths)

@@ -11,7 +11,7 @@ import fibpaths
 from fibpaths import brute, contfrac, families
 from fibpaths._checks import CONSTRAINTS, DEPTH_METHODS, FAMILIES, METHODS, check_k
 from fibpaths.automata import build_chain, solve
-from fibpaths.brute import BudgetExceeded, count_paths, path_counts
+from fibpaths.brute import BudgetExceeded, check_budget, count_paths, path_counts
 from fibpaths.contfrac import (
     CFLevel,
     excursion_cf,
@@ -59,6 +59,7 @@ ENTRY_POINTS = [
     *[(coeff, dict(family=family, k=2, t=4)) for family in FAMILIES],
     (count_paths, dict(family="fib", k=2, n=4)),
     (path_counts, dict(family="fib", k=2, n_max=4)),
+    (check_budget, dict(name="n", n=4)),
     (horizontal_weight, dict(k=2, order=4)),
     (default_depth, dict(family="fib", order=4, method="automaton")),
     (least_depth, dict(family="fib", order=4, method="automaton")),
