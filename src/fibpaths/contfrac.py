@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from ._checks import check_levels, check_size, check_weight
-from .series import Series, _pad, one
+from .series import Series, _pad, one, zero
 
 __all__ = [
     "CFLevel",
@@ -110,7 +110,7 @@ def meander_cf(levels, depth: int, order: int) -> Series:
     """
     check_levels(levels, depth, order)
     cache: dict = {}
-    total = Series([0] * (order + 1))
+    total = zero(order)
     prefix = one(order)
     j = 0
     while (v := prefix.valuation()) <= order:

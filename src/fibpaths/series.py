@@ -4,8 +4,9 @@ A Series stores the coefficients of z^0 .. z^order as Fractions, built
 from ints or Fractions only (a bool, a float or a string raises TypeError,
 as a scalar operand too; an index or exponent must be an int).  All
 arithmetic is exact; binary operations truncate to the smaller operand
-order, so every retained coefficient of a result is the true coefficient
-of the corresponding formal operation.  A reciprocal or a quotient may run
+order (`Series._coefficientwise` states the rule for `+` and `-`), so every
+retained coefficient of a result is the true coefficient of the
+corresponding formal operation.  A reciprocal or a quotient may run
 its kernels on ints; `_unit_integral` states when.  Division cancels the
 common power of z first (the quotient must again be a power series, never
 a Laurent series) and therefore returns a series of order reduced by the
@@ -19,6 +20,7 @@ orders are unequal even where their shared coefficients agree (compare
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from ._backend import kernels
@@ -150,16 +152,19 @@ class Series:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other):
+    def _coefficientwise(self, op, other):
+        """`op` (`operator.add` or `operator.sub`) coefficient by coefficient
+        for a Series operand: `map` stops at the shorter one, so the result
+        has the smaller order.  A scalar acts on the constant term alone."""
         if isinstance(other, Series):
-            m = min(len(self._coeffs), len(other._coeffs))
-            return Series(
-                [self._coeffs[i] + other._coeffs[i] for i in range(m)]
-            )
+            return Series(map(op, self._coeffs, other._coeffs))
         s = _scalar(other)
         if s is None:
             return NotImplemented
-        return Series((self._coeffs[0] + s,) + self._coeffs[1:])
+        return Series((op(self._coeffs[0], s),) + self._coeffs[1:])
+
+    def __add__(self, other):
+        return self._coefficientwise(operator.add, other)
 
     __radd__ = __add__
 
@@ -167,15 +172,7 @@ class Series:
         return Series([-c for c in self._coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, Series):
-            m = min(len(self._coeffs), len(other._coeffs))
-            return Series(
-                [self._coeffs[i] - other._coeffs[i] for i in range(m)]
-            )
-        s = _scalar(other)
-        if s is None:
-            return NotImplemented
-        return Series((self._coeffs[0] - s,) + self._coeffs[1:])
+        return self._coefficientwise(operator.sub, other)
 
     def __rsub__(self, other):
         s = _scalar(other)
@@ -266,22 +263,14 @@ class Series:
 
 def _pad(s: Series, order: int) -> Series:
     """`s` extended by zero coefficients through z^order."""
-    if s.order >= order:
-        return s
-    return Series(s.coefficients() + (0,) * (order - s.order))
+    return s if s.order >= order else poly(s.coefficients(), order)
 
 
-def poly(coeffs, order: int | None = None) -> Series:
-    """Series with the given leading coefficients, zero-padded to `order`.
-
-    Without an explicit order the polynomial's own degree is used; an
-    explicit one is a size (see `_checks.check_size`).  Extra coefficients
-    beyond the requested order are dropped.
-    """
-    s = Series(coeffs)
-    if order is None:
-        return s
-    cs = s.coefficients()[: check_size("order", order) + 1]
+def poly(coeffs, order: int) -> Series:
+    """Series with the given leading coefficients, zero-padded to `order`, a
+    size (see `_checks.check_size`); coefficients beyond it are dropped.  The
+    polynomial at its own degree is `Series(coeffs)`."""
+    cs = Series(coeffs).coefficients()[: check_size("order", order) + 1]
     return Series(cs + (0,) * (order + 1 - len(cs)))
 
 

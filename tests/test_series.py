@@ -32,13 +32,15 @@ def test_poly_drops_extra_coefficients():
     assert ints(poly([1, 2, 3, 4], 1)) == [1, 2]
 
 
-def test_poly_own_degree_without_order():
-    assert poly([1, 0, 7]).order == 2
+def test_the_order_less_form_is_series_not_poly():
+    assert Series([1, 0, 7]).order == 2
+    with pytest.raises(ValueError, match="^order must be a nonnegative integer, got None$"):
+        poly([1], None)
 
 
 def test_poly_rejects_empty():
     with pytest.raises(ValueError):
-        poly([])
+        poly([], 3)
 
 
 @pytest.mark.parametrize("bad", [0.1, 2.0, "1/3", "3", None, 1j, True])
