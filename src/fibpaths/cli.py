@@ -77,7 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--n-max", type=_nonneg_int, default=40)
     ver.add_argument("--brute-max", type=_nonneg_int, default=10,
                      help="largest length checked by brute-force enumeration")
-    ver.add_argument("--depth", type=_nonneg_int, default=None)
+    ver.add_argument("--depth", type=_nonneg_int, default=None,
+                     help="truncation depth for cf/automaton; below the least "
+                          "depth exact through --n-max they are exact only "
+                          "through z^(2*depth+1) (z^depth for the automaton of "
+                          "prefix and grand-prefix), so mismatches are expected")
     ver.add_argument("--family", choices=FAMILIES, default=None,
                      help="restrict to one family")
     ver.set_defaults(func=cmd_verify, refuse=ver.error)

@@ -18,11 +18,12 @@ Methods:
                numbers, with S(s) read off the same table (`coeff`)
     brute      weights of the actual paths, summed step by step (budgeted)
 
-Every method is defined for every family, and all five agree exactly;
-`verify_methods` plays them against each other, and `closed` against the
-published row of `tables` for k, where there is one.  `row_diff` gives the
-cells of one published row for the CLI `tables` subcommand; both compare
-through `_published_cells`.
+Every method is defined for every family, and all five agree exactly: cf
+and automaton at every depth from `least_depth` on, though `gf` walks no
+more levels than the cap of `_walked_depth`.  `verify_methods` plays them
+against each other, and `closed` against the published row of `tables` for
+k, where there is one.  `row_diff` gives the cells of one published row for
+the CLI `tables` subcommand; both compare through `_published_cells`.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "NonIntegralResult",
     "PathCountReport",
     "coeff",
-    "default_depth",
     "gf",
     "horizontal_weight",
     "least_depth",
@@ -80,24 +80,12 @@ def _depth_is_order(family: str, order: int, method: str) -> bool:
     return check_depth_method(method) == "automaton" and not CONSTRAINTS[family][1]
 
 
-def default_depth(family: str, order: int, method: str) -> int:
-    """A truncation depth that keeps the result exact through `order`, for
-    a method in DEPTH_METHODS; the others take no depth.
-
-    It is sufficient, not the least (see `least_depth`): the CF evaluators
-    are relative to each base level, so ceil(order/2)+1 levels always
-    suffice; the automaton of a meander family needs depth = order.
-    """
-    return order if _depth_is_order(family, order, method) else (order + 1) // 2 + 1
-
-
 def least_depth(family: str, order: int, method: str) -> int:
-    """The least truncation depth that keeps the result exact through `order`.
-
-    A depth-s truncation is exact through z^(2s+1), so order // 2 levels
-    suffice, except for the automaton of a meander family, which needs
-    depth = order.  One depth less gives a wrong count at z^order.
-    """
+    """The least truncation depth exact through `order`, for a method in
+    DEPTH_METHODS (the others take no depth): a depth-s truncation is exact
+    through z^(2s+1), so order // 2 levels suffice, but the automaton of a
+    meander family needs depth = order.  Every deeper depth gives the same
+    series; one depth less gives a wrong count at z^order."""
     return order if _depth_is_order(family, order, method) else order // 2
 
 
@@ -105,8 +93,8 @@ def gf(family: str, k: int, order: int, method: str = "closed",
        depth: int | None = None) -> Series:
     """Generating function of the family, exact through `order` (required,
     like `sequence`'s `n_max`).  `depth` overrides the truncation depth of
-    the cf and automaton methods; other methods refuse it.  A depth past
-    `default_depth` gives the same series, so only that one is walked.
+    the cf and automaton methods; other methods refuse it.  Every depth from
+    `least_depth` on gives the same series, and `_walked_depth` caps the walk.
     Every coefficient is a count: the first that is not a nonnegative
     integer raises NonIntegralResult."""
     check_family(family)
@@ -149,8 +137,12 @@ def _closed(family: str, k: int, order: int) -> Series:
 
 
 def _walked_depth(family: str, order: int, method: str, depth: int | None) -> int:
-    """`depth`, or `default_depth` when `depth` is None or deeper."""
-    s = default_depth(family, order, method)
+    """`depth`, or the cap when `depth` is None or deeper: `order` for the
+    automaton of a meander family, else (order + 1) // 2 + 1, one or two
+    levels past `least_depth`.  The traced `verify` benchmark pins the kernel
+    calls of this walk, so the cap comes down to `least_depth` only together
+    with a re-pin of those counts."""
+    s = order if _depth_is_order(family, order, method) else (order + 1) // 2 + 1
     return s if depth is None else min(depth, s)
 
 

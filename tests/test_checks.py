@@ -25,7 +25,6 @@ from fibpaths.contfrac import (
 )
 from fibpaths.families import (
     coeff,
-    default_depth,
     gf,
     horizontal_weight,
     least_depth,
@@ -61,7 +60,6 @@ ENTRY_POINTS = [
     (path_counts, dict(family="fib", k=2, n_max=4)),
     (check_budget, dict(name="n", n=4)),
     (horizontal_weight, dict(k=2, order=4)),
-    (default_depth, dict(family="fib", order=4, method="automaton")),
     (least_depth, dict(family="fib", order=4, method="automaton")),
     (excursion_cf, CF_ARGS),
     (grand_excursion_cf, CF_ARGS),
@@ -110,17 +108,14 @@ def test_bad_k_or_size_raises_value_error_naming_it(fn, good, arg, bad):
 
 @pytest.mark.parametrize("method", [m for m in METHODS if m not in DEPTH_METHODS])
 def test_only_the_depth_methods_have_a_depth(method):
-    for fn in (default_depth, least_depth):
-        with pytest.raises(ValueError, match="^depth applies only to the cf and "
-                                             "automaton methods, not %s$" % method):
-            fn("fib", 5, method)
+    with pytest.raises(ValueError, match="^depth applies only to the cf and "
+                                         "automaton methods, not %s$" % method):
+        least_depth("fib", 5, method)
 
 
 @pytest.mark.parametrize(
     "fn, args",
     [
-        (default_depth, ("nope", 5, "automaton")),
-        (default_depth, ("fib", 5, "bogus")),
         (gf, ("nope", 2, 4)),
         (gf, ("fib", 2, 4, "bogus")),
         (least_depth, ("nope", 5, "automaton")),

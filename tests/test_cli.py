@@ -157,9 +157,9 @@ def test_seq_usage_errors_exit_2(capsys):
 
 @pytest.mark.parametrize("method", ["cf", "automaton"])
 @pytest.mark.parametrize("family", families.FAMILIES)
-def test_seq_at_the_default_depth_prints_the_closed_counts(capsys, family, method):
+def test_seq_at_the_least_depth_prints_the_closed_counts(capsys, family, method):
     base = ("seq", "--family", family, "--k", "2", "--n", "9")
-    depth = families.default_depth(family, 9, method)
+    depth = families.least_depth(family, 9, method)
     _, closed, _ = run(capsys, *base)
     code, out, err = run(capsys, *base, "--method", method, "--depth", str(depth))
     assert (code, out, err) == (0, closed, "")

@@ -15,9 +15,9 @@ from fibpaths.families import (
     NonIntegralResult,
     PathCountReport,
     coeff,
-    default_depth,
     gf,
     horizontal_weight,
+    least_depth,
     sequence,
     verify_methods,
 )
@@ -210,16 +210,19 @@ def test_horizontal_weight_coefficients():
 # -- truncation depths ---------------------------------------------------------
 
 
-def test_default_depths():
-    # cf depths are relative to each level, so half the order suffices
+@pytest.mark.parametrize("order", [10, 11])
+def test_least_depths(order):
+    # a depth-s truncation is exact through z^(2s+1), so half the order
+    # suffices; all-final chains in the automaton need the full order
     for family in families.FAMILIES:
-        assert default_depth(family, 10, "cf") == 6
-        assert default_depth(family, 11, "cf") == 7
-    # all-final chains in the automaton need the full order
-    assert default_depth("fib", 10, "automaton") == 6
-    assert default_depth("grand", 10, "automaton") == 6
-    assert default_depth("prefix", 10, "automaton") == 10
-    assert default_depth("grand-prefix", 10, "automaton") == 10
+        closed = sequence(family, 2, order).counts
+        for method in ("cf", "automaton"):
+            least = least_depth(family, order, method)
+            meander_automaton = method == "automaton" and "prefix" in family
+            assert least == (order if meander_automaton else 5), (family, method)
+            assert sequence(family, 2, order, method, least).counts == closed
+            shallow = sequence(family, 2, order, method, least - 1).counts
+            assert shallow[-1] != closed[-1], (family, method)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -234,7 +237,7 @@ def test_any_depth_from_the_horizon_on_gives_the_closed_counts(family, k, n, ext
     # the walkers are called directly, since gf walks no deeper than it
     closed = gf(family, k, n, "closed").coefficients()
     for method, walk in (("cf", families._cf), ("automaton", families._automaton)):
-        depth = default_depth(family, n, method) + extra
+        depth = least_depth(family, n, method) + extra
         got = walk(family, k, n, depth)
         assert (got.order, got.coefficients()) == (n, closed), (method, depth)
 
@@ -242,8 +245,9 @@ def test_any_depth_from_the_horizon_on_gives_the_closed_counts(family, k, n, ext
 @pytest.mark.parametrize("method", ["cf", "automaton"])
 @pytest.mark.parametrize("family", families.FAMILIES)
 def test_a_depth_far_past_the_default_walks_only_the_default(monkeypatch, family, method):
-    # every depth from default_depth on gives the same series, so a far
-    # deeper one is walked at the default depth, not level by level
+    # every depth from least_depth on gives the same series, so a far deeper
+    # one is walked only to the cap of _walked_depth, not level by level: at
+    # order 5 that is (5 + 1) // 2 + 1 = 4, or 5 for all-final chains
     depths = []
     if method == "cf":
         module, name = contfrac, families._evaluator(family, "cf").__name__
@@ -257,7 +261,8 @@ def test_a_depth_far_past_the_default_walks_only_the_default(monkeypatch, family
 
     monkeypatch.setattr(module, name, recording)
     assert gf(family, 2, 5, method, depth=10**9) == gf(family, 2, 5, method)
-    assert depths == [default_depth(family, 5, method)] * 2
+    cap = 5 if method == "automaton" and "prefix" in family else 4
+    assert depths == [cap] * 2
 
 
 def test_explicit_depth_overrides_default():

@@ -19,7 +19,7 @@ from fibpaths.contfrac import (
     grand_meander_cf,
     meander_cf,
 )
-from fibpaths.families import coeff, default_depth, horizontal_weight
+from fibpaths.families import coeff, horizontal_weight, least_depth
 from fibpaths.series import Series, poly, zero
 
 from helpers import (
@@ -64,9 +64,9 @@ def chain_length(name, order, depth):
 
 
 def depth_for(order, turn):
-    """Depth 0, depth 1, a depth below the exact horizon and the default
-    depth, taken in turn."""
-    full = default_depth("fib", order, "cf")
+    """Depth 0, depth 1, a depth below the exact horizon and that horizon,
+    `least_depth`, taken in turn."""
+    full = least_depth("fib", order, "cf")
     return (0, 1, full // 2, full)[turn % 4]
 
 
@@ -145,9 +145,9 @@ def assert_solve_matches_reference(auto, order):
 
 
 def automaton_depths(order, family):
-    """Depth 0, depth 1, a depth below the exact horizon, the default depth
-    and twice the order."""
-    full = default_depth(family, order, "automaton")
+    """Depth 0, depth 1, a depth below the exact horizon, that horizon
+    (`least_depth`) and twice the order."""
+    full = least_depth(family, order, "automaton")
     return (0, 1, full // 2, full, 2 * order)
 
 
