@@ -392,6 +392,32 @@ def test_verify_lists_every_mismatching_n(capsys):
     ]
 
 
+@pytest.mark.parametrize("family", families.FAMILIES)
+def test_verify_depth_is_exact_through_the_horizon_its_help_states(capsys, family):
+    # below the least depth, cf and automaton are exact only through
+    # z^(2*depth+1), z^depth for the automaton of prefix and grand-prefix;
+    # from the least depth on, verify passes
+    base = ("verify", "--family", family, "--k", "2", "--n-max", "12", "--brute-max", "0")
+    code, out, _ = run(capsys, *base, "--depth", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1] == "verify: FAIL"
+    reference = families.sequence(family, 2, 12).counts
+    horizon = {"cf": 7, "automaton": 3 if "prefix" in family else 7}
+    wrong = {
+        method: families.sequence(family, 2, 12, method, depth=3).counts
+        for method in horizon
+    }
+    assert lines[:-1] == [
+        "%s k=2 n=%d: closed=%d %s=%d" % (family, n, reference[n], method, wrong[method][n])
+        for method in horizon
+        for n in range(horizon[method] + 1, 13)
+    ]
+    least = max(families.least_depth(family, 12, method) for method in horizon)
+    code, out, err = run(capsys, *base, "--depth", str(least))
+    assert (code, out.splitlines()[-1], err) == (0, "verify: PASS", "")
+
+
 def test_verify_catches_a_wrong_family_table(capsys, monkeypatch):
     # prefix counted as grand-prefix by all five methods alike
     monkeypatch.setitem(CONSTRAINTS, "prefix", CONSTRAINTS["grand-prefix"])

@@ -265,6 +265,20 @@ def test_a_depth_far_past_the_default_walks_only_the_default(monkeypatch, family
     assert depths == [cap] * 2
 
 
+@pytest.mark.parametrize("method", ["cf", "automaton"])
+@pytest.mark.parametrize("family", families.FAMILIES)
+def test_the_walked_cap_lies_at_most_two_levels_past_the_least_depth(family, method):
+    # gf walks the cap for any deeper depth, so a cap short of least_depth
+    # would give wrong counts; a depth below the cap is walked as given
+    for order in range(41):
+        least = least_depth(family, order, method)
+        cap = families._walked_depth(family, order, method, None)
+        assert least <= cap <= least + 2, (order, least, cap)
+        for depth in (0, least, cap + 1, 10**9):
+            walked = families._walked_depth(family, order, method, depth)
+            assert walked == min(depth, cap), (order, depth)
+
+
 def test_explicit_depth_overrides_default():
     deep = ints(gf("fib", 2, 10, "cf"))
     shallow = ints(gf("fib", 2, 10, "cf", depth=2))
