@@ -42,7 +42,8 @@ no WeightedAutomaton, `n_states`, the initial state, `finals` when it is no
 iterable of hashable states, a final state, `transitions` when it is no
 iterable, a transition that is no (src, dst, weight) triple, or a weight.
 It reads `finals` and `transitions` once, so the class, `_make`, `_replace`
-and one-shot iterators give the same count.
+and one-shot iterators give the same count.  A zero weight is checked like
+any other; `_eliminate` is the one place it is skipped.
 
 With every weight z, a linear chain counts Motzkin paths; the test suite
 checks `solve` there against the closed Motzkin generating function.
@@ -133,7 +134,7 @@ def _eliminate(rows, rhs):
     docstring); SingularSystem names the first column whose pivot is
     missing or has constant term 0.  Row i is carried to the order of
     rhs[i], padding what meets it (the precision rule).  A zero entry, from
-    a zero weight or from elimination, is skipped: it costs no kernel call."""
+    a zero weight or from elimination, is skipped only here, at no kernel call."""
     n = len(rows)
     for col in range(n):
         pivot_row = rows[col]
@@ -215,9 +216,10 @@ def build_chain(kind: str, depth: int, levels, all_final: bool = False) -> Weigh
     level i, with base = depth for a bilinear chain, whose level -i is state
     base - i, and base = 0 for a linear one.  The initial state is level 0,
     the only final one unless `all_final`.  Deleting the levels above
-    `depth` keeps the boundary loop and back-edge.  InvalidAutomaton names
-    the first weight of levels 0..depth that fails `check_levels` at order
-    0, or else an unknown kind."""
+    `depth` keeps the boundary loop and back-edge.  Every loop and step read,
+    a zero one too, is a transition, which `solve` checks.  InvalidAutomaton
+    names the first weight of levels 0..depth that fails `check_levels` at
+    order 0, or else an unknown kind."""
     bilinear = kind == "bilinear"
     try:
         levels = check_levels(levels, depth, 0, bilinear)
@@ -238,4 +240,4 @@ def build_chain(kind: str, depth: int, levels, all_final: bool = False) -> Weigh
                 steps += [(below, below - 1, lvl.gp), (below - 1, below, lvl.fp)]
     n = base + depth + 1
     return WeightedAutomaton(n, base, frozenset(range(n) if all_final else (base,)),
-                             tuple([t for t in loops if not t[2].is_zero()] + steps))
+                             tuple(loops + steps))

@@ -44,8 +44,6 @@ def convolved_sum(k: int, m: int, r: int) -> int:
     check_size("r", r)
     if r == 0:
         return 1 if m == 0 else 0
-    if r == 1:
-        return kfib(k, m + 1)
     return sum(
         kfib(k, j + 1) * convolved_sum(k, m - j, r - 1) for j in range(m + 1)
     )

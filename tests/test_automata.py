@@ -13,7 +13,7 @@ from fibpaths.automata import (
     build_chain,
     solve,
 )
-from fibpaths.contfrac import CFLevel, excursion_cf
+from fibpaths.contfrac import CFLevel, excursion_cf, grand_excursion_cf
 from fibpaths.series import one, poly, zero
 
 from helpers import MOTZKIN, ints, kernel_calls, kfib_levels, motzkin_gf, unit_levels
@@ -204,6 +204,56 @@ def test_a_zero_weight_costs_no_kernel_call():
     got, got_calls = kernel_calls(lambda: solve(with_zeros, 9))
     assert ints(want) == MOTZKIN
     assert got == want
+    assert got_calls == want_calls
+
+
+# (kind, level, short order, chain order, transition index, state): a zero
+# loop at level 0 and at the top level of a linear chain of depth 3, and a
+# zero h' at level 1 and at the top of a bilinear one (base 3: loops h_0,
+# h_1, h'_1, h_2, h'_2, h_3, h'_3 on states 3, 4, 2, 5, 1, 6, 0)
+SHORT_ZERO_LOOPS = [
+    ("linear", 0, 2, 6, 0, 0),
+    ("linear", 3, 2, 6, 3, 3),
+    ("bilinear", 1, 1, 8, 2, 2),
+    ("bilinear", 3, 1, 8, 6, 0),
+]
+
+
+def with_loop(levels, kind, level, loop):
+    """`levels` with the loop of level `level` (h', below the axis, on a
+    bilinear chain) replaced by `loop`."""
+    levels = list(levels)
+    levels[level] = levels[level]._replace(**{"hp" if kind == "bilinear" else "h": loop})
+    return levels
+
+
+@pytest.mark.parametrize("kind, level, short, order, index, state", SHORT_ZERO_LOOPS)
+def test_a_short_zero_loop_is_refused_like_the_continued_fraction(
+        kind, level, short, order, index, state):
+    # a zero loop of too low an order is a truncation like any other weight
+    bilinear = kind == "bilinear"
+    levels = with_loop(unit_levels(order, 4, bilinear), kind, level, zero(short))
+    evaluate = grand_excursion_cf if bilinear else excursion_cf
+    with pytest.raises(ValueError, match=r"^%s\[%d\] must have order >= %d, got %d$"
+                       % ("h'" if bilinear else "h", level, order, short)):
+        evaluate(levels, 3, order)
+    with pytest.raises(InvalidAutomaton, match=r"^transition %d \(%d->%d\) weight must have "
+                       r"order >= %d, got %d$" % (index, state, state, order, short)):
+        solve(build_chain(kind, 3, levels), order)
+
+
+@pytest.mark.parametrize("kind, index, state", [("linear", 2, 2), ("bilinear", 4, 1)])
+def test_a_full_order_zero_loop_is_kept_and_costs_no_kernel_call(kind, index, state):
+    # the zero loop of level 2 (h'_2 on a bilinear chain) is an edge of the
+    # chain, which solves like the chain without it
+    bilinear = kind == "bilinear"
+    levels = with_loop(kfib_levels(2, 9, 4, bilinear), kind, 2, zero(9))
+    auto = build_chain(kind, 3, levels)
+    assert auto.transitions[index] == (state, state, zero(9))
+    without = auto._replace(transitions=auto.transitions[:index] + auto.transitions[index + 1:])
+    got, got_calls = kernel_calls(lambda: solve(auto, 9))
+    want, want_calls = kernel_calls(lambda: solve(without, 9))
+    assert got == want == (grand_excursion_cf if bilinear else excursion_cf)(levels, 3, 9)
     assert got_calls == want_calls
 
 

@@ -244,7 +244,7 @@ def test_any_depth_from_the_horizon_on_gives_the_closed_counts(family, k, n, ext
 
 @pytest.mark.parametrize("method", ["cf", "automaton"])
 @pytest.mark.parametrize("family", families.FAMILIES)
-def test_a_depth_far_past_the_default_walks_only_the_default(monkeypatch, family, method):
+def test_a_depth_far_past_the_cap_walks_only_the_cap(monkeypatch, family, method):
     # every depth from least_depth on gives the same series, so a far deeper
     # one is walked only to the cap of _walked_depth, not level by level: at
     # order 5 that is (5 + 1) // 2 + 1 = 4, or 5 for all-final chains
@@ -279,7 +279,7 @@ def test_the_walked_cap_lies_at_most_two_levels_past_the_least_depth(family, met
             assert walked == min(depth, cap), (order, depth)
 
 
-def test_explicit_depth_overrides_default():
+def test_a_depth_below_the_least_one_is_walked_as_given():
     deep = ints(gf("fib", 2, 10, "cf"))
     shallow = ints(gf("fib", 2, 10, "cf", depth=2))
     assert deep[:6] == shallow[:6]  # exact through z^(2*2+1)

@@ -115,6 +115,48 @@ def test_nonconstant_chains_match_full_order(name, first):
         assert isinstance(assert_matches_reference(name, levels, depth, order), tuple)
 
 
+def random_loop(rng, order):
+    """A loop weight that may be zero, shorter than `order`, or both."""
+    w_order = rng.randrange(order) if order and rng.random() < 0.3 else order + rng.randrange(3)
+    return zero(w_order) if rng.random() < 0.6 else random_weight(rng, w_order)
+
+
+# kind -> the continued fraction that evaluates the chain `build_chain` builds
+CHAIN_ROUTES = {"linear": excursion_cf, "bilinear": grand_excursion_cf}
+
+
+@pytest.mark.parametrize("kind", sorted(CHAIN_ROUTES))
+def test_both_chain_routes_refuse_the_same_loops(kind):
+    # random chains whose steps reach the order; a few loops (h or h') are
+    # replaced by ones that may be zero, short or both.  Both routes either
+    # refuse the chain or return the same Series.
+    rng = random.Random("routes/" + kind)
+    names = ("h", "hp") if kind == "bilinear" else ("h",)
+    seen = set()
+    for turn in range(200):
+        order = rng.choice((0, 1, 2, 3, 5, 8, 12))
+        depth = depth_for(order, turn)
+        levels = random_chain(rng, order, depth + 1, rng.choice((1, 2, depth + 1)))
+        for _ in range(rng.randrange(1, 4)):
+            i = rng.randrange(depth + 1)
+            levels[i] = levels[i]._replace(**{rng.choice(names): random_loop(rng, order)})
+        auto = build_chain(kind, depth, levels)
+        zero_loop_orders = [w.order for src, dst, w in auto.transitions
+                            if src == dst and w.is_zero()]
+        cf = outcome(CHAIN_ROUTES[kind], levels, depth, order)
+        try:
+            s = solve(auto, order)
+        except automata.InvalidAutomaton:
+            assert cf == ValueError, (kind, order, depth)
+            short = any(o < order for o in zero_loop_orders)
+            seen.add("refused, a zero loop short" if short else "refused")
+        else:
+            assert (s.order, s.coefficients()) == cf, (kind, order, depth)
+            seen.add("evaluated with a zero loop" if zero_loop_orders else "evaluated")
+    assert seen == {"evaluated", "evaluated with a zero loop", "refused",
+                    "refused, a zero loop short"}, seen
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_formula_sums_match_fraction_sums(k):
     for t in range(31):
