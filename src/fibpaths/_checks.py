@@ -64,8 +64,11 @@ def check_weight(w, what, order):
 
 def check_levels(levels, depth, order, primed=False):
     """A chain truncated at `depth`: a list or tuple of levels 0..depth,
-    each weight readable at `order`; `primed` also asks for the mirror
-    weights f', g' and, above level 0 (whose loop both sides share), h'."""
+    each weight the truncation reads readable at `order`, level by level,
+    first bad one named.  It reads the loops h of levels 0..depth and the
+    steps f, g of levels 0..depth-1; `primed` also asks for the mirror
+    steps f', g' there and the mirror loops h' of levels 1..depth (level
+    0's loop both sides share)."""
     check_size("depth", depth)
     check_size("order", order)
     if not isinstance(levels, (list, tuple)):
@@ -77,7 +80,8 @@ def check_levels(levels, depth, order, primed=False):
     names = ("f", "g", "h", "fp", "gp", "hp") if primed else ("f", "g", "h")
     for i, lvl in enumerate(levels[: depth + 1]):
         for name in names:
-            if i or name != "hp":
+            # the top level is read for its loops only; level 0's h' is h
+            if (i < depth or "h" in name) and (i or name != "hp"):
                 what = "%s[%d]" % (name.replace("p", "'"), i)
                 check_weight(getattr(lvl, name, None), what, order)
     return levels

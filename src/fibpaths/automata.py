@@ -217,9 +217,11 @@ def build_chain(kind: str, depth: int, levels, all_final: bool = False) -> Weigh
     base - i, and base = 0 for a linear one.  The initial state is level 0,
     the only final one unless `all_final`.  Deleting the levels above
     `depth` keeps the boundary loop and back-edge.  Every loop and step read,
-    a zero one too, is a transition, which `solve` checks.  InvalidAutomaton
-    names the first weight of levels 0..depth that fails `check_levels` at
-    order 0, or else an unknown kind."""
+    a zero one too, is a transition, which `solve` checks.  `check_levels`,
+    the chain rule of the `contfrac` evaluators too, checks just these
+    weights, the loops of levels 0..depth and the steps below `depth`, and
+    no unread top-level step.  InvalidAutomaton names the first weight that
+    fails it at order 0, or else an unknown kind."""
     bilinear = kind == "bilinear"
     try:
         levels = check_levels(levels, depth, 0, bilinear)

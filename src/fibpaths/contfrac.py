@@ -21,7 +21,12 @@ the two grand closed forms, order + valuation(fg) for `excursion_closed`
 and order + valuation(f) for `meander_closed`, whose divisions cancel
 that power of z.  A shorter weight is a truncation whose tail is unknown,
 and is refused with a ValueError naming it, as are a bad `order` or
-`depth` (see `_checks`).
+`depth` (see `_checks`).  A chain truncated at depth s reads the loops
+h_0 .. h_s and the steps f_i, g_i for i < s only (two-sided, also f'_i,
+g'_i for i < s and h'_1 .. h'_s), so those, and no unread top-level
+step, are checked: one chain rule, which `automata.build_chain` applies
+too.  A meander's prefix also reads f_j at `order` for every level j it
+climbs, and `meander_cf` checks it there.
 
 Precision rule: a walk reaches level i only behind f_0 g_0 ... f_{i-1}
 g_{i-1}, whose valuation is at least 2i, so the continued fraction
@@ -123,7 +128,9 @@ def meander_cf(levels, depth: int, order: int) -> Series:
         key = tuple(id(lvl) for lvl in window)
         e = cache.get(key)
         if e is None:
-            # the prefix reads f_j through `order`, whatever E_j reads
+            # the prefix reads f_j through `order`, whatever E_j reads;
+            # a window of the same levels has the same f_j
+            check_weight(levels[j].f, "f[%d]" % j, order)
             check_levels(window, depth, order)
             # a later window of the same levels has a larger v: this reaches far enough
             e = cache[key] = excursion_cf(window, depth, order - v)

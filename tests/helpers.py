@@ -6,8 +6,8 @@ from math import factorial, prod
 import pytest
 
 from fibpaths import _backend
-from fibpaths._checks import CONSTRAINTS, check_k, check_levels, check_size
-from fibpaths.contfrac import CFLevel
+from fibpaths._checks import CONSTRAINTS, check_k, check_levels, check_size, check_weight
+from fibpaths.contfrac import CFLevel, excursion_cf, grand_excursion_cf
 from fibpaths.families import horizontal_weight
 from fibpaths.kfib import binom, catalan, convolved_binomial, kfib
 from fibpaths.series import Series, one, poly, zero
@@ -89,6 +89,10 @@ def motzkin_gf(order):
     w = check_size("order", order) + 2
     root = poly([1, -2, -3], w).sqrt()
     return ((poly([1, -1], w) - root) / poly([0, 0, 2], w)).truncate(order)
+
+
+# kind -> the continued fraction that evaluates the chain `build_chain` builds
+CHAIN_ROUTES = {"linear": excursion_cf, "bilinear": grand_excursion_cf}
 
 
 # -- constant chains ---------------------------------------------------------------
@@ -247,8 +251,9 @@ def meander_cf_reference(levels, depth, order):
         if j + depth >= len(levels):
             raise ValueError(
                 "need at least %d levels for order %d at depth %d"
-                % (order + depth + 2, order, depth)
+                % (order + depth + 1, order, depth)
             )
+        check_weight(levels[j].f, "f[%d]" % j, order)  # the prefix reads it
         e = tail(j)
         total = total + prefix * e
         prefix = prefix * levels[j].f * e

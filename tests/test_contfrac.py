@@ -7,6 +7,7 @@ were produced with it.
 
 import pytest
 
+from fibpaths.automata import build_chain, solve
 from fibpaths.contfrac import (
     CFLevel,
     _mirror,
@@ -21,7 +22,7 @@ from fibpaths.contfrac import (
 )
 from fibpaths.series import one, poly, zero
 
-from helpers import ints, kfib_levels, mirror_reference, unit_levels
+from helpers import CHAIN_ROUTES, ints, kfib_levels, mirror_reference, unit_levels
 
 
 def unit_paths(n, nonneg, end_zero, with_h=True):
@@ -344,6 +345,33 @@ def test_meander_tails_past_the_depth_need_their_weights_too():
     two_sided = [CFLevel(STEP, STEP, STEP, STEP, STEP, STEP)] * 3
     with pytest.raises(ValueError, match="must be a Series, got None$"):
         grand_meander_cf(two_sided + one_sided[3:], 2, 6)
+
+
+def test_a_short_top_level_step_is_not_read():
+    # the depth-3 truncation reads the loops of levels 0..3 and the steps
+    # below level 3 only, so a short f[3] leaves the Motzkin numbers
+    z = poly([0, 1], 6)
+    levels = [CFLevel(z, z, z)] * 3 + [CFLevel(poly([0, 1], 2), z, z)]
+    assert ints(excursion_cf(levels, 3, 6)) == [1, 1, 2, 4, 9, 21, 51]
+    assert ints(solve(build_chain("linear", 3, levels), 6)) == [1, 1, 2, 4, 9, 21, 51]
+
+
+@pytest.mark.parametrize("kind", sorted(CHAIN_ROUTES))
+def test_at_depth_0_only_the_root_loop_is_read(kind):
+    # (1 - z - z^2)^-1: the Fibonacci numbers; no step, primed or not, is read
+    levels = [CFLevel(None, None, poly([0, 1, 1], 6))]
+    want = poly([1, -1, -1], 6).inverse()
+    assert ints(want) == [1, 1, 2, 3, 5, 8, 13]
+    assert CHAIN_ROUTES[kind](levels, 0, 6) == want
+    assert solve(build_chain(kind, 0, levels), 6) == want
+
+
+def test_a_depth_0_meander_checks_each_step_its_prefix_reads():
+    # E_1 at depth 0 reads only h[1], but the prefix reads f[1] at the order
+    z = poly([0, 1], 6)
+    levels = [CFLevel(z, z, z), CFLevel(poly([0, 1], 3), z, z)] + [CFLevel(z, z, z)] * 6
+    with pytest.raises(ValueError, match=r"^f\[1\] must have order >= 6, got 3$"):
+        meander_cf(levels, 0, 6)
 
 
 @pytest.mark.parametrize("cf", [meander_cf, grand_meander_cf])

@@ -23,6 +23,7 @@ from fibpaths.families import coeff, horizontal_weight, least_depth
 from fibpaths.series import Series, poly, zero
 
 from helpers import (
+    CHAIN_ROUTES,
     coeff_fib_reference,
     coeff_grand_reference,
     coeff_prefix_reference,
@@ -115,46 +116,58 @@ def test_nonconstant_chains_match_full_order(name, first):
         assert isinstance(assert_matches_reference(name, levels, depth, order), tuple)
 
 
-def random_loop(rng, order):
-    """A loop weight that may be zero, shorter than `order`, or both."""
+def random_bad_weight(rng, order):
+    """A weight that may be zero, shorter than `order`, both, or missing
+    (None)."""
+    if rng.random() < 0.15:
+        return None
     w_order = rng.randrange(order) if order and rng.random() < 0.3 else order + rng.randrange(3)
     return zero(w_order) if rng.random() < 0.6 else random_weight(rng, w_order)
 
 
-# kind -> the continued fraction that evaluates the chain `build_chain` builds
-CHAIN_ROUTES = {"linear": excursion_cf, "bilinear": grand_excursion_cf}
-
-
 @pytest.mark.parametrize("kind", sorted(CHAIN_ROUTES))
-def test_both_chain_routes_refuse_the_same_loops(kind):
-    # random chains whose steps reach the order; a few loops (h or h') are
-    # replaced by ones that may be zero, short or both.  Both routes either
-    # refuse the chain or return the same Series.
+def test_both_chain_routes_refuse_the_same_weights(kind):
+    # random chains whose weights reach the order; a few loops or steps, at
+    # any level 0..depth and half of them at the top one, are replaced by
+    # ones that may be zero, short, both or None.  The continued fraction and
+    # solve(build_chain(...)) either both refuse the chain or return the
+    # same Series: both check exactly the weights the truncation reads.
     rng = random.Random("routes/" + kind)
-    names = ("h", "hp") if kind == "bilinear" else ("h",)
+    names = ("f", "g", "h", "fp", "gp", "hp") if kind == "bilinear" else ("f", "g", "h")
+    steps = [name for name in names if "h" not in name]
     seen = set()
     for turn in range(200):
         order = rng.choice((0, 1, 2, 3, 5, 8, 12))
         depth = depth_for(order, turn)
         levels = random_chain(rng, order, depth + 1, rng.choice((1, 2, depth + 1)))
         for _ in range(rng.randrange(1, 4)):
-            i = rng.randrange(depth + 1)
-            levels[i] = levels[i]._replace(**{rng.choice(names): random_loop(rng, order)})
-        auto = build_chain(kind, depth, levels)
-        zero_loop_orders = [w.order for src, dst, w in auto.transitions
-                            if src == dst and w.is_zero()]
+            i = rng.choice((rng.randrange(depth + 1), depth))
+            levels[i] = levels[i]._replace(**{rng.choice(names): random_bad_weight(rng, order)})
         cf = outcome(CHAIN_ROUTES[kind], levels, depth, order)
+        auto = None
         try:
+            auto = build_chain(kind, depth, levels)
             s = solve(auto, order)
         except automata.InvalidAutomaton:
             assert cf == ValueError, (kind, order, depth)
-            short = any(o < order for o in zero_loop_orders)
-            seen.add("refused, a zero loop short" if short else "refused")
-        else:
-            assert (s.order, s.coefficients()) == cf, (kind, order, depth)
-            seen.add("evaluated with a zero loop" if zero_loop_orders else "evaluated")
-    assert seen == {"evaluated", "evaluated with a zero loop", "refused",
-                    "refused, a zero loop short"}, seen
+            if auto is None:
+                seen.add("refused by build_chain")
+            elif any(w.is_zero() and w.order < order for *_, w in auto.transitions):
+                seen.add("refused by solve, a zero weight short")
+            else:
+                seen.add("refused by solve")
+            continue
+        assert (s.order, s.coefficients()) == cf, (kind, order, depth)
+        seen.add("evaluated")
+        if any(w.is_zero() for src, dst, w in auto.transitions if src == dst):
+            seen.add("evaluated with a zero loop")
+        top = [getattr(levels[depth], name) for name in steps]
+        if any(w is None or w.order < order for w in top):
+            seen.add("evaluated with a bad top-level step")
+    assert seen == {"evaluated", "evaluated with a zero loop",
+                    "evaluated with a bad top-level step",
+                    "refused by build_chain", "refused by solve",
+                    "refused by solve, a zero weight short"}, seen
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
