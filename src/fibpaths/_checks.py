@@ -62,13 +62,25 @@ def check_weight(w, what, order):
     return w
 
 
-def check_levels(levels, depth, order, primed=False):
+def weight_name(name, i, mirrored=False):
+    """How a message names weight `name` (f, g, h, fp, gp or hp) of chain
+    level i: "f[i]" and the like, primes shown.  `mirrored` names a weight
+    of `contfrac._mirror`'s view of a two-sided chain by the one it mirrors:
+    its f, g and h of level i > 0 are g', f' and h' there."""
+    if mirrored and (i or name != "h"):
+        name = {"f": "gp", "g": "fp", "h": "hp"}[name]
+    return "%s[%d]" % (name.replace("p", "'"), i)
+
+
+def check_levels(levels, depth, order, primed=False, start=0, mirrored=False):
     """A chain truncated at `depth`: a list or tuple of levels 0..depth,
     each weight the truncation reads readable at `order`, level by level,
     first bad one named.  It reads the loops h of levels 0..depth and the
     steps f, g of levels 0..depth-1; `primed` also asks for the mirror
     steps f', g' there and the mirror loops h' of levels 1..depth (level
-    0's loop both sides share)."""
+    0's loop both sides share).  `levels` may be a window of a longer
+    chain that starts at its level `start`; a bad weight is named by its
+    level in that chain, as `weight_name` says."""
     check_size("depth", depth)
     check_size("order", order)
     if not isinstance(levels, (list, tuple)):
@@ -81,7 +93,7 @@ def check_levels(levels, depth, order, primed=False):
     for i, lvl in enumerate(levels[: depth + 1]):
         for name in names:
             # the top level is read for its loops only; level 0's h' is h
-            if (i < depth or "h" in name) and (i or name != "hp"):
-                what = "%s[%d]" % (name.replace("p", "'"), i)
+            if (i < depth or "h" in name) and (start + i or name != "hp"):
+                what = weight_name(name, start + i, mirrored)
                 check_weight(getattr(lvl, name, None), what, order)
     return levels

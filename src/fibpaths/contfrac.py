@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from ._checks import check_levels, check_size, check_weight
+from ._checks import check_levels, check_size, check_weight, weight_name
 from .series import Series, _pad, one, zero
 
 __all__ = [
@@ -113,7 +113,13 @@ def meander_cf(levels, depth: int, order: int) -> Series:
     evaluated only through z^(order - v), v the valuation of its prefix;
     since v >= j, the sum reads levels 0..order+depth at most.
     """
-    check_levels(levels, depth, order)
+    return _meander(levels, depth, order)
+
+
+def _meander(levels, depth, order, mirrored=False):
+    """`meander_cf`; `mirrored` says that `levels` is `_mirror`'s view of a
+    two-sided chain, whose weights a message names as the primed ones."""
+    check_levels(levels, depth, order, mirrored=mirrored)
     cache: dict = {}
     total = zero(order)
     prefix = one(order)
@@ -130,8 +136,8 @@ def meander_cf(levels, depth: int, order: int) -> Series:
         if e is None:
             # the prefix reads f_j through `order`, whatever E_j reads;
             # a window of the same levels has the same f_j
-            check_weight(levels[j].f, "f[%d]" % j, order)
-            check_levels(window, depth, order)
+            check_weight(levels[j].f, weight_name("f", j, mirrored), order)
+            check_levels(window, depth, order, start=j, mirrored=mirrored)
             # a later window of the same levels has a larger v: this reaches far enough
             e = cache[key] = excursion_cf(window, depth, order - v)
         e = _pad(e, order)
@@ -155,7 +161,7 @@ def grand_meander_cf(levels, depth: int, order: int) -> Series:
     e = excursion_cf(levels, depth, order)
     ep = excursion_cf(mirrored, depth, order)
     g = meander_cf(levels, depth, order)
-    gp = meander_cf(mirrored, depth, order)
+    gp = _meander(mirrored, depth, order, mirrored=True)
     h0 = levels[0].h
     num = ep * g + e * gp - e * ep
     den = e + ep - e * ep * (one(order) - h0)

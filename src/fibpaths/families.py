@@ -2,7 +2,7 @@
 
 Family kinds (paths take steps U, D and weighted horizontal runs, see
 fibpaths.brute; this table is `_checks.CONSTRAINTS`, and each family's
-contfrac evaluators and chain automaton follow from it):
+closed form, quotient of convergents and chain automaton follow from it):
 
     fib           excursions staying weakly above the axis
     grand         excursions allowed below the axis
@@ -12,7 +12,8 @@ contfrac evaluators and chain automaton follow from it):
 Methods:
 
     closed     closed radical generating functions
-    cf         depth-truncated continued fractions / meander sums
+    cf         convergents A_s/B_s of the family's continued fraction,
+               stepped on integer lists, then one unit division (`_cf`)
     automaton  linear solve of the depth-truncated chain automaton
     formula    [z^t] = sum_s S(s) W(k, s, t) over convolved k-Fibonacci
                numbers, with S(s) read off the same table (`coeff`)
@@ -31,6 +32,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import automata, brute, contfrac, tables
+from ._backend import kernels
 from ._checks import (CONSTRAINTS, DEPTH_METHODS, FAMILIES, METHODS,
                       check_depth_method, check_family, check_k, check_method,
                       check_size)
@@ -122,18 +124,18 @@ def gf(family: str, k: int, order: int, method: str = "closed",
     return out
 
 
-def _evaluator(family: str, kind: str):
-    """The family's contfrac evaluator of `kind` ("closed" or "cf"), looked
-    up on the contfrac module at call time, so that a wrapper put there
-    sees every call."""
+def _evaluator(family: str):
+    """The family's contfrac closed form, looked up on the contfrac module
+    at call time, so that a wrapper put there sees every call.  The kind
+    comes from `CONSTRAINTS`, as it does for `_cf`."""
     nonneg, ends_at_0 = CONSTRAINTS[family]
     stem = ("" if nonneg else "grand_") + ("excursion" if ends_at_0 else "meander")
-    return getattr(contfrac, "%s_%s" % (stem, kind))
+    return getattr(contfrac, stem + "_closed")
 
 
 def _closed(family: str, k: int, order: int) -> Series:
     f, g, h = _level(k, order + 2)[:3]
-    return _evaluator(family, "closed")(f, g, h, order)
+    return _evaluator(family)(f, g, h, order)
 
 
 def _walked_depth(family: str, order: int, method: str, depth: int | None) -> int:
@@ -146,10 +148,58 @@ def _walked_depth(family: str, order: int, method: str, depth: int | None) -> in
     return s if depth is None else min(depth, s)
 
 
+def _times_b(k: int, p: list) -> list:
+    """b·p through the length of p, for b = 1 - kz - z^2 and an int list p."""
+    return [x - k * y - w for x, y, w in zip(p, [0] + p, [0, 0] + p)]
+
+
+def _step(k: int, A: list, B: list, c: int = 1) -> tuple:
+    """(bB, aB - c·z^2·bA) for a = b - z.  With c = 1 it is the fraction
+    A/B of levels i+1.. carried to level i, 1/(1 - z/b - z^2·A/B) =
+    bB/(aB - z^2·bA); the root of a grand excursion reads it on both
+    sides, c = 2."""
+    bB = _times_b(k, B)
+    return bB, [x - y - c * w for x, y, w in zip(bB, [0] + B, [0, 0] + _times_b(k, A))]
+
+
+def _convergent(k: int, order: int, s: int) -> tuple:
+    """(A, B), int coefficient lists mod z^(order+1) with B(0) = 1, whose
+    quotient is the excursion continued fraction of the k-Fibonacci chain
+    (f = g = z, h = z/b) truncated at depth s: s + 1 steps from the empty
+    tail 0/1, which s = -1 returns.  The first step gives level s's loop
+    series 1/(1 - h) = b/a."""
+    A, B = [0] * (order + 1), [1] + [0] * order
+    for _ in range(s + 1):
+        A, B = _step(k, A, B)
+    return A, B
+
+
 def _cf(family: str, k: int, order: int, s: int) -> Series:
-    cf = _evaluator(family, "cf")
-    # a meander's tail E_j reads levels j .. j+s for every j through order
-    return cf([_level(k, order)] * (order + s + 1), s, order)
+    """The family's depth-s truncation as one unit quotient of integer
+    series built from the convergent A/B, for the kind `CONSTRAINTS` gives:
+    every level of the chain has the same weights, so each meander tail is
+    the same A/B, and the mirrored chain equals the chain.
+
+        excursion        A/B
+        grand excursion  bB/(aB - 2z^2·bA), (A, B) of depth s - 1
+        meander          A/(B - zA)
+        grand meander    Ab(B + zA) / ((B - zA)(2bB - aA))
+
+    Every denominator has constant term 1.  The same series as the
+    contfrac evaluator of the kind at depth s, with no contfrac call."""
+    nonneg, ends_at_0 = CONSTRAINTS[family]
+    if ends_at_0:
+        num, den = (_convergent(k, order, s) if nonneg
+                    else _step(k, *_convergent(k, order, s - 1), 2))
+    else:
+        A, B = _convergent(k, order, s)
+        zA = [0] + A
+        num, den = A, [x - y for x, y in zip(B, zA)]
+        if not nonneg:
+            m, bA = order + 1, _times_b(k, A)
+            num = kernels.mul(bA, [x + y for x, y in zip(B, zA)], m)
+            den = kernels.mul(den, [2 * x - y + w for x, y, w in zip(_times_b(k, B), bA, zA)], m)
+    return Series(num) / Series(den)
 
 
 def _automaton(family: str, k: int, order: int, s: int) -> Series:

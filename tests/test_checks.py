@@ -182,25 +182,28 @@ def test_what_the_tracer_patches_is_still_there(monkeypatch):
     assert families.FAMILIES == FAMILIES == tuple(CONSTRAINTS)
     assert check_k(3) == 3
 
-    # gf reaches each family's contfrac evaluator, derived from the family
-    # table, through the module attribute
+    # gf reaches each family's contfrac closed form, derived from the family
+    # table, through the module attribute; cf reaches its own convergent and
+    # no contfrac evaluator
     stems = {"fib": "excursion", "grand": "grand_excursion", "prefix": "meander",
              "grand-prefix": "grand_meander"}
     assert tuple(stems) == families.FAMILIES
     reached = []
-    for stem in stems.values():
-        for name in (stem + "_closed", stem + "_cf"):
+    watched = [(contfrac, stem + kind) for stem in stems.values() for kind in ("_closed", "_cf")]
+    for owner, name in watched + [(families, "_convergent")]:
 
-            def counting(*args, _name=name, _real=getattr(contfrac, name)):
-                reached.append(_name)
-                return _real(*args)
+        def counting(*args, _name=name, _real=getattr(owner, name)):
+            reached.append(_name)
+            return _real(*args)
 
-            monkeypatch.setattr(contfrac, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     for family, stem in stems.items():
-        for method in ("closed", "cf"):
-            reached.clear()
-            gf(family, 2, 6, method)
-            assert reached[0] == "%s_%s" % (stem, method), (family, method)
+        reached.clear()
+        gf(family, 2, 6, "closed")
+        assert reached[0] == stem + "_closed", family
+        reached.clear()
+        gf(family, 2, 6, "cf")
+        assert reached == ["_convergent"], family
 
     methods = []
     real_gf = families.gf

@@ -338,13 +338,19 @@ def test_two_sided_evaluators_need_the_primed_weights(cf):
 
 
 def test_meander_tails_past_the_depth_need_their_weights_too():
-    # the sum reads the windows j .. j + depth for every j, past level depth
+    # the sum reads the windows j .. j + depth for every j, past level depth;
+    # a bad weight is named by its level in the chain, and below the axis by
+    # its primed name
     one_sided = [CFLevel(STEP, STEP, STEP)] * 3 + [CFLevel(STEP, STEP, None)] * 9
-    with pytest.raises(ValueError, match=r"^h\[2\] must be a Series, got None$"):
+    with pytest.raises(ValueError, match=r"^h\[3\] must be a Series, got None$"):
         meander_cf(one_sided, 2, 6)
     two_sided = [CFLevel(STEP, STEP, STEP, STEP, STEP, STEP)] * 3
-    with pytest.raises(ValueError, match="must be a Series, got None$"):
+    with pytest.raises(ValueError, match=r"^h\[3\] must be a Series, got None$"):
         grand_meander_cf(two_sided + one_sided[3:], 2, 6)
+    short = poly([0, 1], 3)
+    short_below = [CFLevel(STEP, STEP, STEP, STEP, short, STEP)] * 9
+    with pytest.raises(ValueError, match=r"^g'\[3\] must have order >= 6, got 3$"):
+        grand_meander_cf(two_sided + short_below, 2, 6)
 
 
 def test_a_short_top_level_step_is_not_read():

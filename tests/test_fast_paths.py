@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from fibpaths import automata, gf
+from fibpaths import FAMILIES, automata, gf
 from fibpaths.automata import WeightedAutomaton, _state_orders, build_chain, solve
 from fibpaths.contfrac import (
     CFLevel,
@@ -19,7 +19,7 @@ from fibpaths.contfrac import (
     grand_meander_cf,
     meander_cf,
 )
-from fibpaths.families import coeff, horizontal_weight, least_depth
+from fibpaths.families import _cf, _walked_depth, coeff, horizontal_weight, least_depth
 from fibpaths.series import Series, poly, zero
 
 from helpers import (
@@ -83,6 +83,31 @@ def test_constant_chains_match_full_order(name, k):
         depth = depth_for(order, turn + k)
         levels = [level] * chain_length(name, order, depth)
         assert_matches_reference(name, levels, depth, order)
+
+
+# family -> the evaluator of EVALUATORS whose chain its `cf` method truncates
+FAMILY_EVALUATORS = {
+    "fib": "excursion",
+    "grand": "grand-excursion",
+    "prefix": "meander",
+    "grand-prefix": "grand-meander",
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 12, 21])
+def test_convergents_match_the_full_order_continued_fraction(family, order):
+    # the integer convergent of every depth gf may walk, and one past it
+    name = FAMILY_EVALUATORS[family]
+    _, reference, two_sided, _ = EVALUATORS[name]
+    step = poly([0, 1], order)
+    for k in range(1, 6):
+        h = horizontal_weight(k, order)
+        level = CFLevel(step, step, h, *((step, step, h) if two_sided else ()))
+        for depth in range(_walked_depth(family, order, "cf", None) + 2):
+            want = reference([level] * chain_length(name, order, depth), depth, order)
+            got = _cf(family, k, order, depth)
+            assert (got.order, got.coefficients()) == (order, want.coefficients()), (k, depth)
 
 
 def random_weight(rng, order):
