@@ -22,6 +22,7 @@ from fibpaths.contfrac import (
 from fibpaths.families import _cf, _walked_depth, coeff, horizontal_weight, least_depth
 from fibpaths.series import Series, poly, zero
 
+import helpers
 from helpers import (
     CHAIN_ROUTES,
     coeff_fib_reference,
@@ -94,20 +95,44 @@ FAMILY_EVALUATORS = {
 }
 
 
-@pytest.mark.parametrize("family", FAMILIES)
+def by_value(reference, excursion):
+    """A one-sided chain's `reference`(levels, depth, order), kept by the
+    values of the weights it reads, so that a truncation of the constant
+    chain is evaluated once however many families' references ask for it.
+    An excursion reads levels 0..depth, a meander sum its whole chain."""
+    kept = {}
+
+    def kept_reference(levels, depth, order):
+        read = levels[: depth + 1] if excursion else levels
+        key = (depth, order) + tuple(
+            (lvl.f.coefficients(), lvl.g.coefficients(), lvl.h.coefficients())
+            for lvl in read
+        )
+        if key not in kept:
+            kept[key] = reference(levels, depth, order)
+        return kept[key]
+
+    return kept_reference
+
+
 @pytest.mark.parametrize("order", [0, 1, 2, 7, 12, 21])
-def test_convergents_match_the_full_order_continued_fraction(family, order):
-    # the integer convergent of every depth gf may walk, and one past it
-    name = FAMILY_EVALUATORS[family]
-    _, reference, two_sided, _ = EVALUATORS[name]
+def test_convergents_match_the_full_order_continued_fraction(order, monkeypatch):
+    # the integer convergent of every depth gf may walk, and one past it; the
+    # four references share their excursions and meander sums of the chain
+    monkeypatch.setattr(helpers, "excursion_cf_reference", by_value(excursion_cf_reference, True))
+    monkeypatch.setattr(helpers, "meander_cf_reference", by_value(meander_cf_reference, False))
     step = poly([0, 1], order)
     for k in range(1, 6):
         h = horizontal_weight(k, order)
-        level = CFLevel(step, step, h, *((step, step, h) if two_sided else ()))
-        for depth in range(_walked_depth(family, order, "cf", None) + 2):
-            want = reference([level] * chain_length(name, order, depth), depth, order)
-            got = _cf(family, k, order, depth)
-            assert (got.order, got.coefficients()) == (order, want.coefficients()), (k, depth)
+        level = CFLevel(step, step, h, step, step, h)
+        for family in FAMILIES:
+            name = FAMILY_EVALUATORS[family]
+            reference = getattr(helpers, EVALUATORS[name][1].__name__)
+            for depth in range(_walked_depth(family, order, "cf", None) + 2):
+                want = reference([level] * chain_length(name, order, depth), depth, order)
+                got = _cf(family, k, order, depth)
+                assert (got.order, got.coefficients()) == (order, want.coefficients()), (
+                    family, k, depth)
 
 
 def random_weight(rng, order):
