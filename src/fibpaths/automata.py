@@ -7,12 +7,19 @@ q counts weighted walks from q into the final set,
     L_q = sum_edges w(q -> q') L_{q'} + [q in finals],
 
 a linear system (I - W) L = F over the series ring.  `solve`, the one
-entry point, builds it and solves it exactly by sparse elimination in row
-order with unit pivots (`_eliminate`): as val(W) >= 1, eliminating column c
-subtracts factor * row c, val(factor) >= 1, from each later row, so every
-diagonal entry keeps constant term 1 and every other entry valuation >= 1,
-in the rows the precision rule truncates or pads too.  The pivot check that
-raises SingularSystem (exit 4 in the CLI) guards this invariant.
+entry point, builds it and solves it exactly for the initial state by
+sparse elimination with unit pivots (`_eliminate`).  It numbers the rows by
+ascending r(q) (below), so the farthest states go first, ties keep state
+order, and the initial state goes last: elimination runs toward the initial
+state, whose row then gives L_initial alone, with no back-substitution.
+Each pivot row is divided by its pivot, and as val(W) >= 1, eliminating
+column c subtracts entry * scaled row c, val(entry) >= 1, from each later
+row, so every diagonal entry keeps constant term 1 and every other entry
+valuation >= 1, in the rows the precision rule pads too.  The pivot check
+that raises SingularSystem (exit 4 in the CLI) guards this invariant.  On a
+chain this is the continued fraction of the path counts, evaluated from the
+deepest level up (Flajolet, "Combinatorial aspects of continued fractions",
+Discrete Math. 1980).
 Chains built from CF levels (`build_chain`) reproduce the continued-fraction
 evaluators state by state: a chain truncated at depth s is exact through
 z^(2s+1) when only the level-0 state is final (the first walk it misses
@@ -25,15 +32,19 @@ sum to at least d(q), the least such sum over walks from the initial state,
 so L_q affects the initial state's series only from z^d(q) on.  `solve`
 therefore carries row q, its right-hand side and its weights only through
 z^r(q), r(q) = min(order, max(order - d(q), 1)); an unreachable state takes
-r = 1, and every r is 0 when `order` is 0.  Where elimination or
-back-substitution meets row i with a pivot, a pivot-row entry, a right-hand
-side or a solved x_j of lower order, that series is padded with zeros to
-row i's order; the padded coefficients land past it, because the entry of
-row i that multiplies them has valuation at least d(j) - d(i).  The floor of
-1 keeps every valuation-1 weight nonzero, so on a chain, where elimination
-creates no entries, the solve visits the entries of a full-order solve and
-makes its kernel calls, except for a product with a right-hand side that is
-zero at its own row's order, which it skips.  `solve` returns the Series a
+r = 1, and every r is 0 when `order` is 0.  Where elimination meets row i
+with a scaled pivot-row entry or right-hand side of a row j of lower order,
+that series is padded with zeros to row i's order; the padded coefficients
+land past it, because the entry of row i that multiplies them has
+valuation at least d(j) - d(i).  That bound holds in any elimination order:
+the entry sums walks from i to j through eliminated states, and d(j) is at
+most d(i) plus the valuation of each.  The floor of 1 keeps every
+valuation-1 weight nonzero, so on a chain, where elimination creates no
+entries, each state's scaled row holds one neighbour nearer the initial
+state: a state costs a quotient of that entry by its unit pivot, and one
+of its right-hand side unless that is zero at its own order, each on ints
+for integer weights (`series._unit_integral`), and every product left on
+Fractions has a step weight as one factor.  `solve` returns the Series a
 full-order solve gives, with the same order.
 
 `solve` first checks `order` and the automaton by the `_checks` rules and
@@ -72,7 +83,7 @@ class InvalidAutomaton(ValueError):
 
 
 class SingularSystem(ArithmeticError):
-    """A pivot met in row order is missing or has constant term 0."""
+    """A pivot met in elimination order is missing or has constant term 0."""
 
 
 class WeightedAutomaton(
@@ -128,45 +139,42 @@ def _check(auto: WeightedAutomaton, order: int) -> WeightedAutomaton:
 
 
 def _eliminate(rows, rhs):
-    """Solve M x = rhs over the series ring, M given as sparse rows (dicts
-    column -> Series), by elimination in row order, overwriting rows and
-    rhs.  For M = I - W with val(W) >= 1 every pivot is a unit (module
-    docstring); SingularSystem names the first column whose pivot is
-    missing or has constant term 0.  Row i is carried to the order of
-    rhs[i], padding what meets it (the precision rule).  A zero entry, from
-    a zero weight or from elimination, is skipped only here, at no kernel call."""
+    """Solve M x = rhs over the series ring for the last unknown, M given as
+    sparse rows (dicts column -> Series), by elimination in row order,
+    overwriting rows and rhs.  Each pivot row and its right-hand side are
+    divided by the pivot once, and every later row with an entry in the
+    pivot's column subtracts entry * scaled row; the last row is then
+    rhs / pivot, which is returned.  For M = I - W with val(W) >= 1 every
+    pivot is a unit (module docstring); SingularSystem names the first
+    column whose pivot is missing or has constant term 0.  Row i is carried
+    to the order of rhs[i], padding what meets it (the precision rule, which
+    holds in any row order; `solve` picks the order).  A zero entry, from a
+    zero weight or from elimination, or a zero right-hand side is skipped
+    only here, at no kernel call."""
     n = len(rows)
     for col in range(n):
-        pivot_row = rows[col]
-        pivot = pivot_row.get(col)
+        pivot = rows[col].pop(col, None)
         if pivot is None or not pivot.coefficient(0):
             raise SingularSystem("column %d has no unit pivot in row order" % col)
+        if col == n - 1:
+            return rhs[col] / pivot
+        scaled = {j: v / pivot for j, v in rows[col].items() if not v.is_zero()}
+        x = None if rhs[col].is_zero() else rhs[col] / pivot
         for i in range(col + 1, n):
             entry = rows[i].pop(col, None)
             if entry is None or entry.is_zero():
                 continue
             r = rhs[i].order
-            factor = entry / _pad(pivot, r)
-            for j, v in pivot_row.items():
-                if j <= col or v.is_zero():
-                    continue
+            for j, v in scaled.items():
                 cur = rows[i].get(j)
-                delta = factor * _pad(v, r)
+                delta = entry * _pad(v, r)
                 nxt = (cur - delta) if cur is not None else -delta
                 if nxt.is_zero():
                     rows[i].pop(j, None)
                 else:
                     rows[i][j] = nxt
-            if not rhs[col].is_zero():
-                rhs[i] = rhs[i] - factor * _pad(rhs[col], r)
-    xs = [None] * n
-    for i in range(n - 1, -1, -1):
-        acc = rhs[i]
-        for j, v in rows[i].items():
-            if j > i and not v.is_zero():
-                acc = acc - v * _pad(xs[j], acc.order)
-        xs[i] = acc / rows[i][i]
-    return xs
+            if x is not None:
+                rhs[i] = rhs[i] - entry * _pad(x, r)
 
 
 def _state_orders(auto: WeightedAutomaton, order: int) -> list[int]:
@@ -198,15 +206,18 @@ def solve(auto: WeightedAutomaton, order: int) -> Series:
     carrying each state only as far as the module's precision rule needs.
     InvalidAutomaton names the first bad part of `auto`, or a bad `order`."""
     auto = _check(auto, order)
-    n = auto.n_states
     r = _state_orders(auto, order)
-    rows = [{q: one(r[q])} for q in range(n)]
+    # farthest states first (ties in state order), the initial state last
+    states = sorted(range(auto.n_states), key=lambda q: (r[q], q == auto.initial))
+    at = {q: i for i, q in enumerate(states)}
+    rows = [{i: one(r[q])} for i, q in enumerate(states)]
     for src, dst, w in auto.transitions:
         w = w.truncate(r[src])
-        cur = rows[src].get(dst)
-        rows[src][dst] = (cur - w) if cur is not None else -w
-    rhs = [one(r[q]) if q in auto.finals else zero(r[q]) for q in range(n)]
-    return _eliminate(rows, rhs)[auto.initial]
+        row = rows[at[src]]
+        cur = row.get(at[dst])
+        row[at[dst]] = (cur - w) if cur is not None else -w
+    rhs = [one(r[q]) if q in auto.finals else zero(r[q]) for q in states]
+    return _eliminate(rows, rhs)
 
 
 def build_chain(kind: str, depth: int, levels, all_final: bool = False) -> WeightedAutomaton:

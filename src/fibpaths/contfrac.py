@@ -197,10 +197,11 @@ def excursion_closed(f, g, h, order: int) -> Series:
         f, g, h = _read(f, g, h, order)
         return (1 - h).inverse()
     w = order + fg.valuation()
-    f, g, h = _read(f, g, h, w)
+    h = _read(f, g, h, w)[2]  # f and g carry w coefficients, so fg does
+    fg = fg.truncate(w)
     omh = 1 - h
-    root = (omh * omh - 4 * (f * g)).sqrt()
-    return ((omh - root) / (2 * (f * g))).truncate(order)
+    root = (omh * omh - 4 * fg).sqrt()
+    return ((omh - root) / (2 * fg)).truncate(order)
 
 
 def grand_excursion_closed(f, g, h, order: int) -> Series:

@@ -377,11 +377,13 @@ def test_eliminate_refuses_a_system_that_needs_a_row_swap():
 
 
 @pytest.mark.parametrize("reverse", [False, True])
-def test_eliminate_gives_each_x_at_its_rhs_order(reverse):
+def test_eliminate_gives_the_last_x_at_its_rhs_order(reverse):
     # x0 = 1 + z x1, x1 = z x0 + z x2, x2 = z x1, with rows carried through
     # z^6, z^5 and z^4: x0 = (1 - z^2)/(1 - 2z^2), x1 = z/(1 - 2z^2) and
-    # x2 = z^2/(1 - 2z^2).  Reversed, elimination meets a pivot of lower
-    # order than the row below it and pads it.
+    # x2 = z^2/(1 - 2z^2).  In state order the pivot rows reach past the
+    # rows below them and x2 comes last; reversed, as `solve` orders a
+    # chain, each scaled pivot row is padded to the row below it, and x0
+    # comes last.
     orders = [6, 5, 4]
     edges = [(0, 1), (1, 0), (1, 2), (2, 1)]
     at = (lambda q: 2 - q) if reverse else (lambda q: q)
@@ -393,9 +395,9 @@ def test_eliminate_gives_each_x_at_its_rhs_order(reverse):
     rhs = [None] * 3
     for q, r in enumerate(orders):
         rhs[at(q)] = one(r) if q == 0 else zero(r)
-    xs = automata._eliminate(rows, rhs)
+    last = 0 if reverse else 2
     den = poly([1, 0, -2], 6)
     expected = [poly([1, 0, -1], 6) / den, poly([0, 1], 6) / den, poly([0, 0, 1], 6) / den]
-    for q, r in enumerate(orders):
-        assert xs[at(q)].order == r
-        assert xs[at(q)] == expected[q].truncate(r)
+    x = automata._eliminate(rows, rhs)
+    assert x.order == orders[last]
+    assert x == expected[last].truncate(orders[last])

@@ -348,14 +348,11 @@ def automaton_kernel_calls(family, n):
 
 @pytest.mark.parametrize("family", sorted(CHAIN_FAMILIES.values()))
 @pytest.mark.parametrize("n", [40, 41])
-def test_automaton_makes_the_kernel_calls_of_the_full_order_solve(monkeypatch, family, n):
+def test_automaton_makes_fewer_kernel_calls_than_the_full_order_solve(monkeypatch, family, n):
+    # eliminating from the far end of the chain toward the initial state
+    # leaves no back-substitution, and a zero right-hand side is never divided
     got_mul, got_inv = automaton_kernel_calls(family, n)
     monkeypatch.setattr(automata, "solve", solve_reference)
     want_mul, want_inv = automaton_kernel_calls(family, n)
-    assert got_inv == want_inv
-    if n % 2 == 0:
-        assert got_mul == want_mul
-    else:
-        # the bottom state's right-hand side can vanish at its order, which
-        # saves the one product that would have carried it upward
-        assert want_mul - got_mul in (0, 1)
+    assert got_inv <= want_inv
+    assert got_mul < want_mul
