@@ -15,8 +15,7 @@ Methods:
     cf         convergents A_s/B_s of the family's continued fraction,
                stepped on integer lists, then one unit division (`_cf`)
     automaton  linear solve of the depth-truncated chain automaton
-    formula    [z^t] = sum_s S(s) W(k, s, t) over convolved k-Fibonacci
-               numbers, with S(s) read off the same table (`coeff`)
+    formula    sum_s S(s) W(k, s, t) over skeletons and integer rows of runs
     brute      weights of the actual paths, summed step by step (budgeted)
 
 Every method is defined for every family, and all five agree exactly: cf
@@ -36,7 +35,7 @@ from ._backend import kernels
 from ._checks import (CONSTRAINTS, DEPTH_METHODS, FAMILIES, METHODS,
                       check_depth_method, check_family, check_k, check_method,
                       check_size)
-from .kfib import binom, catalan, convolved_binomial
+from .kfib import binom, catalan
 from .series import Series, poly
 
 __all__ = [
@@ -113,7 +112,7 @@ def gf(family: str, k: int, order: int, method: str = "closed",
     elif method == "automaton":
         out = _automaton(family, k, n, _walked_depth(family, n, method, depth))
     elif method == "formula":
-        out = Series([coeff(family, k, t) for t in range(n + 1)])
+        out = Series(_formula_counts(family, k, n))
     else:
         brute.check_budget("order", n)
         out = Series(brute.path_counts(family, k, n))
@@ -212,18 +211,8 @@ def _automaton(family: str, k: int, order: int, s: int) -> Series:
 # -- the coefficient-sum formula ----------------------------------------------
 
 
-def _runs_among(k: int, s: int, t: int) -> int:
-    """W(k, s, t) = sum_l C(s+l, l) F^(l)_{k, t-s-l+1}: l >= 0 horizontal
-    runs of total length m = t - s placed among s unit steps.  A run weighs
-    h = z/(1 - kz - z^2) by its length, so l runs of total length m weigh
-    [z^m] h^l = [z^(m-l)] (1 - kz - z^2)^(-l) = F^(l)_{k, m-l+1}."""
-    return sum(binom(s + l, l) * convolved_binomial(k, t - s - l, l)
-               for l in range(t - s + 1))
-
-
-# (stays nonnegative, ends at 0) -> S(s), the words of s unit steps U, D
-# that a family of that kind allows: Dyck words, balanced words, ballot
-# prefixes, all words
+# (stays nonnegative, ends at 0) -> S(s), the skeletons of s steps U, D that
+# a family of that kind allows: Dyck, balanced, ballot prefix or any words
 _SKELETONS = {
     (True, True): lambda s: 0 if s % 2 else catalan(s // 2),
     (False, True): lambda s: 0 if s % 2 else binom(s, s // 2),
@@ -232,20 +221,31 @@ _SKELETONS = {
 }
 
 
+def _formula_counts(family: str, k: int, n: int) -> list[int]:
+    """[z^t], t = 0..n, as sum_s S(s) W(k, s, t): S(s) skeletons of s steps
+    U, D, with runs weighing h = z/b by their length placed among them, so
+    W(k, s, t) = [z^(t-s)] sum_l C(s+l, l) h^l = [z^(t-s)] (1 - h)^-(s+1).
+    With b = 1 - kz - z^2 and a = b - z, 1/(1 - h) = 1 + z/a: row s is row
+    s-1 plus z times its quotient by a, q_j = p_j + (k+1)q_(j-1) + q_(j-2)."""
+    skeletons = _SKELETONS[CONSTRAINTS[family]]
+    counts, row = [0] * (n + 1), [1] + [0] * n
+    for s in range(n + 1):
+        del row[n - s + 1:]
+        q = q_prev = 0
+        for j, p in enumerate(row):
+            row[j] = p + q
+            q, q_prev = p + (k + 1) * q + q_prev, q
+        if count := skeletons(s):
+            counts[s:] = [c + count * w for c, w in zip(counts[s:], row)]
+    return counts
+
+
 def coeff(family: str, k: int, t: int) -> int:
-    """[z^t] of the family's GF as sum_s S(s) W(k, s, t): each path is a
-    skeleton of s unit steps, S(s) of them allowed by the family's
-    constraints, with horizontal runs of total length t - s among them."""
+    """[z^t] of the family's GF by the formula of `_formula_counts`."""
     check_family(family)
     check_k(k)
     check_size("t", t)
-    skeletons = _SKELETONS[CONSTRAINTS[family]]
-    total = 0
-    for s in range(t + 1):
-        count = skeletons(s)
-        if count:
-            total += count * _runs_among(k, s, t)
-    return total
+    return _formula_counts(family, k, t)[t]
 
 
 # -- reports ------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 F_{k,0} = 0, F_{k,1} = 1, F_{k,n+1} = k F_{k,n} + F_{k,n-1}; k=1 gives the
 Fibonacci numbers, k=2 the Pell numbers.  The r-fold convolved numbers
-F^(r)_{k,j+1} are the coefficients of (1 - k x - x^2)^(-r).  The formula
-method reads them from a binomial closed form; nested convolution sums give
-them a second way, which the test suite plays against the first and against
-the series expansion.
+F^(r)_{k,j+1} are the coefficients of (1 - k x - x^2)^(-r), given here by a
+binomial closed form and by nested convolution sums.  The tests play them
+against each other and the series expansion, and sum them into the formula
+method's slow reference; the method itself counts on integer rows.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ import pytest
 from fibpaths import _backend
 from fibpaths._checks import CONSTRAINTS, check_k, check_levels, check_size, check_weight
 from fibpaths.contfrac import CFLevel, excursion_cf, grand_excursion_cf
-from fibpaths.families import horizontal_weight
+from fibpaths.families import _SKELETONS, horizontal_weight
 from fibpaths.kfib import binom, catalan, convolved_binomial, kfib
 from fibpaths.series import Series, one, poly, zero
 
@@ -317,6 +317,19 @@ def solve_reference(auto, order):
                 rhs[i] = rhs[i] - v * xs[j]
         xs[i] = rhs[i] / rows[i][i]
     return xs[auto.initial]
+
+
+def coeff_reference(family, k, t):
+    """[z^t] of the family's GF as sum_s S(s) W(k, s, t), with the runs
+    W(k, s, t) = sum_l C(s+l, l) F^(l)_{k, t-s-l+1}: l >= 0 horizontal runs of
+    total length m = t - s placed among s unit steps.  A run weighs
+    h = z/(1 - kz - z^2) by its length, so l runs of total length m weigh
+    [z^m] h^l = [z^(m-l)] (1 - kz - z^2)^(-l) = F^(l)_{k, m-l+1}.  The slow
+    reference of `families._formula_counts`: cubic in t, over the convolved
+    k-Fibonacci numbers its integer rows never read."""
+    skeletons = _SKELETONS[CONSTRAINTS[family]]
+    return sum(skeletons(s) * binom(s + l, l) * convolved_binomial(k, t - s - l, l)
+               for s in range(t + 1) for l in range(t - s + 1))
 
 
 def coeff_fib_reference(k, t):

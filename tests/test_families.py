@@ -73,20 +73,16 @@ def test_gf_refuses_a_depth_for_a_method_without_one(method):
 
 def _spoil(monkeypatch, method, n, bad):
     """Make the `method` route of `gf` return `bad` as its count at `n`."""
-    if method == "formula":
-        real = families.coeff
-        monkeypatch.setattr(families, "coeff",
-                            lambda family, k, t: bad if t == n else real(family, k, t))
-    else:
-        real = brute.path_counts
+    owner, name = (families, "_formula_counts") if method == "formula" else (brute, "path_counts")
+    real = getattr(owner, name)
 
-        def spoiled(family, k, order):
-            counts = list(real(family, k, order))
-            if order >= n:
-                counts[n] = bad
-            return counts
+    def spoiled(family, k, order):
+        counts = list(real(family, k, order))
+        if order >= n:
+            counts[n] = bad
+        return counts
 
-        monkeypatch.setattr(brute, "path_counts", spoiled)
+    monkeypatch.setattr(owner, name, spoiled)
 
 
 @pytest.mark.parametrize("bad", [-1, Fraction(1, 2)], ids=["negative", "half"])
@@ -137,10 +133,12 @@ def test_skeleton_counts_match_the_up_down_words(family):
 
 
 @pytest.mark.parametrize("family", families.FAMILIES)
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_coeff_matches_path_counts(family, k):
-    want = brute.path_counts(family, k, 60)
-    assert [coeff(family, k, t) for t in range(61)] == want
+@pytest.mark.parametrize("k, n", [(1, 60), (2, 60), (3, 60), (4, 60), (3, 400)],
+                         ids=["1", "2", "3", "4", "3-400"])
+def test_coeff_matches_path_counts(family, k, n):
+    want = brute.path_counts(family, k, n)
+    assert ints(gf(family, k, n, "formula")) == want
+    assert [coeff(family, k, t) for t in range(61)] == want[:61]
 
 
 def test_coeff_fib_figure_value():
@@ -344,8 +342,9 @@ def test_verify_methods_passes_depth_only_to_cf_and_automaton(monkeypatch):
 
 
 def test_verify_methods_compares_the_grand_prefix_formula(monkeypatch):
-    monkeypatch.setattr(families, "coeff",
-                        lambda family, k, t: coeff(family, k, t) + (t == 4))
+    real = families._formula_counts
+    monkeypatch.setattr(families, "_formula_counts", lambda family, k, n:
+                        [c + (t == 4) for t, c in enumerate(real(family, k, n))])
     got = verify_methods("grand-prefix", 2, 6, brute_max=2)
     assert got == [("grand-prefix", 2, 4, "closed", "formula", 181, 182)]
 

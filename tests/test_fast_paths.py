@@ -19,7 +19,8 @@ from fibpaths.contfrac import (
     grand_meander_cf,
     meander_cf,
 )
-from fibpaths.families import _cf, _walked_depth, coeff, horizontal_weight, least_depth
+from fibpaths.families import (_cf, _formula_counts, _walked_depth, coeff, horizontal_weight,
+                               least_depth)
 from fibpaths.series import Series, poly, zero
 
 import helpers
@@ -28,6 +29,7 @@ from helpers import (
     coeff_fib_reference,
     coeff_grand_reference,
     coeff_prefix_reference,
+    coeff_reference,
     excursion_cf_reference,
     grand_excursion_cf_reference,
     grand_meander_cf_reference,
@@ -222,6 +224,9 @@ def test_both_chain_routes_refuse_the_same_weights(kind):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_formula_sums_match_fraction_sums(k):
+    for family in FAMILIES:
+        want = [coeff_reference(family, k, t) for t in range(31)]
+        assert _formula_counts(family, k, 30) == want, family
     for t in range(31):
         assert coeff("fib", k, t) == coeff_fib_reference(k, t), t
         assert coeff("grand", k, t) == coeff_grand_reference(k, t), t
