@@ -11,8 +11,10 @@ constant term 1 or -1 returns ints, and exact Fractions for any other
 constant term; Fraction input gives Fraction output.  ``sqrt`` computes on
 Fractions.
 
-``Series`` stores Fractions; ``series._unit_integral`` alone decides when
-these kernels get ints instead.
+``Series`` stores Fractions, and ``series._unit_integral`` decides when its
+reciprocals and quotients hand these kernels ints instead.  ``families._cf``
+and ``automata._eliminate`` call them on their own coefficient lists, ints
+for integer series.
 """
 
 from fractions import Fraction
@@ -42,7 +44,7 @@ def inv(a, m):
 
     b_0 = 1/a_0 and b_n = -(sum_{i=1..n} a_i b_{n-i}) / a_0.  When a_0 is
     1 or -1, 1/a_0 = a_0 and the recurrence runs on the numbers it is given
-    (`series._unit_integral` decides when they are ints).  Otherwise it runs
+    (the module docstring says who passes ints).  Otherwise it runs
     on Fractions, 1/a_0 included, so ints with another a_0 get Fractions.
     """
     a0 = a[0]

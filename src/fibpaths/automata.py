@@ -12,14 +12,14 @@ sparse elimination with unit pivots (`_eliminate`).  It numbers the rows by
 ascending r(q) (below), so the farthest states go first, ties keep state
 order, and the initial state goes last: elimination runs toward the initial
 state, whose row then gives L_initial alone, with no back-substitution.
-Each pivot row is divided by its pivot, and as val(W) >= 1, eliminating
-column c subtracts entry * scaled row c, val(entry) >= 1, from each later
-row, so every diagonal entry keeps constant term 1 and every other entry
-valuation >= 1, in the rows the precision rule pads too.  The pivot check
-that raises SingularSystem (exit 4 in the CLI) guards this invariant.  On a
-chain this is the continued fraction of the path counts, evaluated from the
-deepest level up (Flajolet, "Combinatorial aspects of continued fractions",
-Discrete Math. 1980).
+Each pivot row is multiplied by the reciprocal of its pivot, and as
+val(W) >= 1, eliminating column c subtracts entry * scaled row c,
+val(entry) >= 1, from each later row, so every diagonal entry keeps
+constant term 1 and every other entry valuation >= 1, in the rows the
+precision rule pads too.  The pivot check that raises SingularSystem (exit 4
+in the CLI) guards this invariant.  On a chain this is the continued
+fraction of the path counts, evaluated from the deepest level up (Flajolet,
+"Combinatorial aspects of continued fractions", Discrete Math. 1980).
 Chains built from CF levels (`build_chain`) reproduce the continued-fraction
 evaluators state by state: a chain truncated at depth s is exact through
 z^(2s+1) when only the level-0 state is final (the first walk it misses
@@ -41,11 +41,13 @@ the entry sums walks from i to j through eliminated states, and d(j) is at
 most d(i) plus the valuation of each.  The floor of 1 keeps every
 valuation-1 weight nonzero, so on a chain, where elimination creates no
 entries, each state's scaled row holds one neighbour nearer the initial
-state: a state costs a quotient of that entry by its unit pivot, and one
-of its right-hand side unless that is zero at its own order, each on ints
-for integer weights (`series._unit_integral`), and every product left on
-Fractions has a step weight as one factor.  `solve` returns the Series a
-full-order solve gives, with the same order.
+state: a state costs one reciprocal of its unit pivot, and a product of it
+with that entry and one with its right-hand side unless that is zero at its
+own order.  Elimination runs on coefficient lists, not on Series: each
+weight becomes a list once, of ints when all its coefficients through
+z^r(src) are integral and of its stored Fractions otherwise, so a chain of
+integer weights is solved on ints alone, and only the result is a Series.
+`solve` returns the Series a full-order solve gives, with the same order.
 
 `solve` first checks `order` and the automaton by the `_checks` rules and
 raises InvalidAutomaton naming the first bad part: `order`, an `auto` that is
@@ -66,8 +68,9 @@ import heapq
 import math
 from collections import namedtuple
 
+from ._backend import kernels
 from ._checks import check_levels, check_size, check_weight
-from .series import Series, _pad, one, zero
+from .series import Series
 
 __all__ = [
     "InvalidAutomaton",
@@ -140,41 +143,61 @@ def _check(auto: WeightedAutomaton, order: int) -> WeightedAutomaton:
 
 def _eliminate(rows, rhs):
     """Solve M x = rhs over the series ring for the last unknown, M given as
-    sparse rows (dicts column -> Series), by elimination in row order,
-    overwriting rows and rhs.  Each pivot row and its right-hand side are
-    divided by the pivot once, and every later row with an entry in the
-    pivot's column subtracts entry * scaled row; the last row is then
-    rhs / pivot, which is returned.  For M = I - W with val(W) >= 1 every
-    pivot is a unit (module docstring); SingularSystem names the first
-    column whose pivot is missing or has constant term 0.  Row i is carried
-    to the order of rhs[i], padding what meets it (the precision rule, which
-    holds in any row order; `solve` picks the order).  A zero entry, from a
-    zero weight or from elimination, or a zero right-hand side is skipped
-    only here, at no kernel call."""
+    sparse rows (dicts column -> coefficient list, index = exponent) and rhs
+    as coefficient lists, by elimination in row order, overwriting rows and
+    rhs.  Each pivot is inverted at most once, and the nonzero entries of its
+    row and a nonzero right-hand side are multiplied by that one reciprocal;
+    every later row with an entry in the pivot's column subtracts
+    entry * scaled row.  The last row is then rhs * (1 / pivot), returned as
+    the one Series built here.  For M = I - W with val(W) >= 1 every pivot
+    is a unit (module docstring); SingularSystem names the first column
+    whose pivot is missing or has constant term 0.  Row i is carried to the
+    length of rhs[i]: `kernels.mul` reads what a shorter operand lacks as
+    zeros, which pads it (the precision rule, which holds in any row order;
+    `solve` picks the order).  A zero entry, from a zero weight or from
+    elimination, or a zero right-hand side is skipped only here, at no
+    kernel call."""
     n = len(rows)
     for col in range(n):
         pivot = rows[col].pop(col, None)
-        if pivot is None or not pivot.coefficient(0):
+        if pivot is None or not pivot[0]:
             raise SingularSystem("column %d has no unit pivot in row order" % col)
+        m = len(rhs[col])
         if col == n - 1:
-            return rhs[col] / pivot
-        scaled = {j: v / pivot for j, v in rows[col].items() if not v.is_zero()}
-        x = None if rhs[col].is_zero() else rhs[col] / pivot
+            return Series(kernels.mul(rhs[col], kernels.inv(pivot, m), m))
+        entries = [(j, v) for j, v in rows[col].items() if any(v)]
+        has_rhs = any(rhs[col])
+        recip = kernels.inv(pivot, m) if entries or has_rhs else None
+        scaled = [(j, kernels.mul(v, recip, m)) for j, v in entries]
+        x = kernels.mul(rhs[col], recip, m) if has_rhs else None
         for i in range(col + 1, n):
             entry = rows[i].pop(col, None)
-            if entry is None or entry.is_zero():
+            if entry is None or not any(entry):
                 continue
-            r = rhs[i].order
-            for j, v in scaled.items():
-                cur = rows[i].get(j)
-                delta = entry * _pad(v, r)
-                nxt = (cur - delta) if cur is not None else -delta
-                if nxt.is_zero():
-                    rows[i].pop(j, None)
-                else:
+            r = len(rhs[i])
+            for j, v in scaled:
+                nxt = _minus(rows[i].get(j), kernels.mul(entry, v, r))
+                if any(nxt):
                     rows[i][j] = nxt
+                else:
+                    rows[i].pop(j, None)
             if x is not None:
-                rhs[i] = rhs[i] - entry * _pad(x, r)
+                rhs[i] = _minus(rhs[i], kernels.mul(entry, x, r))
+
+
+def _minus(a, b):
+    """a - b coefficient by coefficient through the shorter list, as `Series`
+    subtracts; -b when `a` is None, an entry not yet in its row."""
+    return [-y for y in b] if a is None else [x - y for x, y in zip(a, b)]
+
+
+def _coefficient_list(w: Series, r: int) -> list:
+    """The coefficients of `w` through z^r: ints when each is integral, else
+    the stored Fractions."""
+    cs = w.coefficients()[: r + 1]
+    if all(c.denominator == 1 for c in cs):
+        return [c.numerator for c in cs]
+    return list(cs)
 
 
 def _state_orders(auto: WeightedAutomaton, order: int) -> list[int]:
@@ -210,13 +233,12 @@ def solve(auto: WeightedAutomaton, order: int) -> Series:
     # farthest states first (ties in state order), the initial state last
     states = sorted(range(auto.n_states), key=lambda q: (r[q], q == auto.initial))
     at = {q: i for i, q in enumerate(states)}
-    rows = [{i: one(r[q])} for i, q in enumerate(states)]
+    rows = [{i: [1] + [0] * r[q]} for i, q in enumerate(states)]
     for src, dst, w in auto.transitions:
-        w = w.truncate(r[src])
+        w = _coefficient_list(w, r[src])
         row = rows[at[src]]
-        cur = row.get(at[dst])
-        row[at[dst]] = (cur - w) if cur is not None else -w
-    rhs = [one(r[q]) if q in auto.finals else zero(r[q]) for q in states]
+        row[at[dst]] = _minus(row.get(at[dst]), w)
+    rhs = [[int(q in auto.finals)] + [0] * r[q] for q in states]
     return _eliminate(rows, rhs)
 
 

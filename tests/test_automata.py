@@ -359,19 +359,24 @@ def test_enlarging_finals_never_decreases_counts():
     )
 
 
+def unit_list(order):
+    """The coefficient list of the series 1 through z^order."""
+    return [1] + [0] * order
+
+
 def test_eliminate_singular():
-    z = poly([0, 1], 6)
+    z = [0, 1, 0, 0, 0, 0, 0]
     rows = [{0: z, 1: z}, {0: z, 1: z}]
-    rhs = [one(6), zero(6)]
+    rhs = [unit_list(6), [0] * 7]
     with pytest.raises(SingularSystem):
         automata._eliminate(rows, rhs)
 
 
 def test_eliminate_refuses_a_system_that_needs_a_row_swap():
     # [z, 1; 1, z] is invertible, but its pivot in row order, z, is no unit
-    z = poly([0, 1], 6)
-    rows = [{0: z, 1: one(6)}, {0: one(6), 1: z}]
-    rhs = [one(6), zero(6)]
+    z = [0, 1, 0, 0, 0, 0, 0]
+    rows = [{0: z, 1: unit_list(6)}, {0: unit_list(6), 1: z}]
+    rhs = [unit_list(6), [0] * 7]
     with pytest.raises(SingularSystem, match="^column 0 "):
         automata._eliminate(rows, rhs)
 
@@ -389,12 +394,12 @@ def test_eliminate_gives_the_last_x_at_its_rhs_order(reverse):
     at = (lambda q: 2 - q) if reverse else (lambda q: q)
     rows = [None] * 3
     for q, r in enumerate(orders):
-        rows[at(q)] = {at(q): one(r)}
+        rows[at(q)] = {at(q): unit_list(r)}
     for src, dst in edges:
-        rows[at(src)][at(dst)] = -poly([0, 1], orders[src])
+        rows[at(src)][at(dst)] = [0, -1] + [0] * (orders[src] - 1)
     rhs = [None] * 3
     for q, r in enumerate(orders):
-        rhs[at(q)] = one(r) if q == 0 else zero(r)
+        rhs[at(q)] = unit_list(r) if q == 0 else [0] * (r + 1)
     last = 0 if reverse else 2
     den = poly([1, 0, -2], 6)
     expected = [poly([1, 0, -1], 6) / den, poly([0, 1], 6) / den, poly([0, 0, 1], 6) / den]

@@ -7,10 +7,12 @@ as (order, coefficients) pairs.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from fibpaths import FAMILIES, automata, gf
+from fibpaths._backend import kernels
 from fibpaths.automata import WeightedAutomaton, _state_orders, build_chain, solve
 from fibpaths.contfrac import (
     CFLevel,
@@ -337,6 +339,26 @@ def test_random_automata_match_full_order():
     assert seen == set(features), seen
 
 
+def test_random_automata_with_rational_weights_match_full_order():
+    # a weight scaled by 1/3 is no integer series, so `solve` eliminates on
+    # its stored Fractions
+    rng = random.Random(20261022)
+    rational_weights = rational_counts = 0
+    for _ in range(200):
+        order = rng.choice((0, 1, 2, 3, 5, 8, 12, 20))
+        auto = random_automaton(rng, order)
+        auto = auto._replace(transitions=[
+            (src, dst, w * Fraction(1, 3) if rng.random() < 0.3 else w)
+            for src, dst, w in auto.transitions
+        ])
+        assert_solve_matches_reference(auto, order)
+        rational_weights += any(c.denominator != 1 for *_, w in auto.transitions
+                                for c in w.coefficients())
+        rational_counts += any(c.denominator != 1 for c in solve(auto, order).coefficients())
+    assert rational_weights > 100
+    assert rational_counts > 20
+
+
 def test_state_orders_follow_the_least_walk_valuation():
     rng = random.Random(7)
     for _ in range(300):
@@ -346,18 +368,44 @@ def test_state_orders_follow_the_least_walk_valuation():
         assert _state_orders(auto, order) == want
 
 
-def automaton_kernel_calls(family, n):
-    """(mul, inv) calls made by gf(family, 2, n, "automaton")."""
-    return kernel_calls(lambda: gf(family, 2, n, "automaton"))[1]
+def family_chain(family, n):
+    """The chain automaton that gf(family, 2, n, "automaton") solves."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automata, "solve", lambda auto, order: seen.append(auto) or solve(auto, order))
+        gf(family, 2, n, "automaton")
+    (chain,) = seen
+    return chain
 
 
 @pytest.mark.parametrize("family", sorted(CHAIN_FAMILIES.values()))
 @pytest.mark.parametrize("n", [40, 41])
-def test_automaton_makes_fewer_kernel_calls_than_the_full_order_solve(monkeypatch, family, n):
+def test_automaton_makes_fewer_kernel_calls_than_the_full_order_solve(family, n):
     # eliminating from the far end of the chain toward the initial state
-    # leaves no back-substitution, and a zero right-hand side is never divided
-    got_mul, got_inv = automaton_kernel_calls(family, n)
-    monkeypatch.setattr(automata, "solve", solve_reference)
-    want_mul, want_inv = automaton_kernel_calls(family, n)
-    assert got_inv <= want_inv
+    # leaves no back-substitution, a zero right-hand side is never divided,
+    # and each pivot is inverted once, for its row and right-hand side alike
+    chain = family_chain(family, n)
+    got_mul, got_inv = kernel_calls(lambda: solve(chain, n))[1]
+    want_mul, want_inv = kernel_calls(lambda: solve_reference(chain, n))[1]
+    assert got_inv <= chain.n_states
+    assert got_inv < want_inv
     assert got_mul < want_mul
+
+
+@pytest.mark.parametrize("family", sorted(CHAIN_FAMILIES.values()))
+def test_the_automaton_hands_the_kernels_int_lists_only(monkeypatch, family):
+    # every weight, pivot and quotient of a family chain is an integer series
+    want = gf(family, 2, 40, "closed")
+    operands = []
+    for name in ("mul", "inv"):
+        real = getattr(kernels, name)
+
+        def spy(*args, _real=real):
+            operands.extend(args[:-1])
+            return _real(*args)
+
+        monkeypatch.setattr(kernels, name, spy)
+    assert gf(family, 2, 40, "automaton") == want
+    assert len(operands) > 40
+    assert {type(a) for a in operands} == {list}
+    assert {type(c) for a in operands for c in a} == {int}
